@@ -68,13 +68,9 @@ def document_dict(sv: StateVector, bob: int, label: str | None) -> dict:
     return doc
 
 
-def _resolve_bob(sv: StateVector, doc_bob: int, override) -> int:
-    return doc_bob if override is None else override
-
-
 def cmd_analyze(args) -> int:
     sv, bob, label = load_document(args.input)
-    bob = _resolve_bob(sv, bob, args.bob)
+    bob = bob if args.bob is None else args.bob
     form = schmidt_form(sv, bob)
     oracle = concurrence_via_density(sv, bob)
     delta = abs(form.concurrence - oracle)
@@ -109,7 +105,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_check(args) -> int:
     sv, bob, label = load_document(args.input)
-    bob = _resolve_bob(sv, bob, args.bob)
+    bob = bob if args.bob is None else args.bob
     general = check_general(sv, bob, args.tol)
     fields = {
         "n": sv.n,
@@ -153,7 +149,7 @@ def _parse_info(args) -> InfoQubit:
 
 def cmd_teleport(args) -> int:
     sv, bob, label = load_document(args.input)
-    bob = _resolve_bob(sv, bob, args.bob)
+    bob = bob if args.bob is None else args.bob
     name = label or args.input
     if args.samples:
         est = average_fidelity_mc(sv, bob, args.samples, args.seed)
@@ -214,42 +210,36 @@ def cmd_teleport(args) -> int:
     return 0
 
 
+def _qubit_count(x: float) -> int:
+    if not x.is_integer():
+        raise ConstraintViolated(f"qubit count must be an integer, got {x}")
+    return int(x)
+
+
+# family -> (parameter names, builder from (parameters, parsed arguments))
 FAMILY_PARAMS = {
-    "ghz": ("n",),
-    "w": ("a100", "a010", "a001"),
-    "separable": ("a", "b"),
-    "schmidt": ("a", "b", "beta", "kappa"),
-    "acin": ("k0", "k1", "k2", "k3", "k4"),
-    "acinalt": ("a", "b", "c", "d", "f"),
-    "counterexample": ("a", "b"),
-    "random": ("n",),
+    "ghz": (("n",), lambda p, args: families.ghz(_qubit_count(p[0]))),
+    "w": (("a100", "a010", "a001"), lambda p, args: families.w_general(*p)),
+    "separable": (("a", "b"), lambda p, args: families.separable_branch_family(*p)),
+    "schmidt": (("a", "b", "beta", "kappa"), lambda p, args: families.schmidt_branch_family(*p)),
+    "acin": (("k0", "k1", "k2", "k3", "k4"),
+             lambda p, args: families.acin_canonical(*p, args.theta)),
+    "acinalt": (("a", "b", "c", "d", "f"),
+                lambda p, args: families.acin_alternative(*p, args.theta)),
+    "counterexample": (("a", "b"), lambda p, args: families.zha_counterexample(
+        *p, args.theta, args.delta, args.gamma)),
+    "random": (("n",), lambda p, args: families.random_state(_qubit_count(p[0]), args.seed)),
 }
 
 
 def _build_family(args) -> StateVector:
     family = args.family
-    names = FAMILY_PARAMS[family]
+    names, build = FAMILY_PARAMS[family]
     if len(args.params) != len(names):
         raise ConstraintViolated(
             f"family '{family}' takes {len(names)} parameter(s) {names}, got {len(args.params)}"
         )
-    if family in ("ghz", "random"):
-        n = int(args.params[0])
-        if n != args.params[0]:
-            raise ConstraintViolated(f"qubit count must be an integer, got {args.params[0]}")
-        return families.ghz(n) if family == "ghz" else families.random_state(n, args.seed)
-    p = args.params
-    if family == "w":
-        return families.w_general(p[0], p[1], p[2])
-    if family == "separable":
-        return families.separable_branch_family(p[0], p[1])
-    if family == "schmidt":
-        return families.schmidt_branch_family(p[0], p[1], p[2], p[3])
-    if family == "acin":
-        return families.acin_canonical(p[0], p[1], p[2], p[3], p[4], args.theta)
-    if family == "acinalt":
-        return families.acin_alternative(p[0], p[1], p[2], p[3], p[4], args.theta)
-    return families.zha_counterexample(p[0], p[1], args.theta, args.delta, args.gamma)
+    return build(args.params, args)
 
 
 def cmd_gen(args) -> int:

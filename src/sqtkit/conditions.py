@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolated, NotNormalized, WrongQubitCount
-from .families import acin_alternative
+from .families import SQRT_HALF, acin_alternative
 from .schmidt import split_by_receiver
 from .statevec import StateVector, check_qubit_index, move_to_last_perm, permute_qubits
-
-SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ def classify_zha(kappas, theta: float = 0.0, tol: float = 1e-9) -> ZhaReport:
     if any(v < 0 for v in k):
         raise ConstraintViolated("canonical coefficients must be ≥ 0")
     norm_sq = sum(v * v for v in k)
-    if abs(norm_sq - 1.0) > 1e-9:
+    if not abs(norm_sq - 1.0) <= 1e-9:  # negated so that NaN fails too
         raise NotNormalized(f"Σκ² = {norm_sq} is not 1")
     k0, k1, k2, k3, k4 = k
     res_a = max(k1, abs(k4 - SQRT_HALF), abs(k3 - _sqrt_clamped(0.5 - k0**2 - k2**2)))

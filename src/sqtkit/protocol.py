@@ -17,17 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalized, OutOfRange
-from .schmidt import SchmidtForm, schmidt_form
-from .statevec import (
-    PAULI_X,
-    PAULI_Z,
-    StateVector,
-    apply_one_qubit,
-    inner,
-    move_to_last_perm,
-    permute_qubits,
-    tensor,
-)
+from .families import SQRT_HALF
+from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
+from .statevec import PAULI_X, PAULI_Z, StateVector, apply_one_qubit, inner
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 
@@ -42,7 +34,7 @@ class InfoQubit:
     def __post_init__(self):
         amp0, amp1 = complex(self.amp0), complex(self.amp1)
         norm_sq = abs(amp0) ** 2 + abs(amp1) ** 2
-        if abs(norm_sq - 1.0) > 1e-10:
+        if not abs(norm_sq - 1.0) <= 1e-10:  # negated so that NaN fails too
             raise NotNormalized(f"|amp0|² + |amp1|² = {norm_sq} is not 1")
         norm = math.sqrt(norm_sq)
         object.__setattr__(self, "amp0", amp0 / norm)
@@ -94,10 +86,9 @@ def measurement_basis(form: SchmidtForm) -> MeasurementBasis:
     Ψ(2,3) = (|0⟩|branch1⟩ ± |1⟩|branch0⟩)/√2."""
     b0 = form.branch0.amps
     b1 = form.branch1.amps
-    s = math.sqrt(0.5)
     n = form.branch0.n + 1
     states = tuple(
-        StateVector(n, s * np.concatenate([top, bottom]))
+        StateVector(n, SQRT_HALF * np.concatenate([top, bottom]))
         for top, bottom in ((b0, b1), (b0, -b1), (b1, b0), (b1, -b0))
     )
     return MeasurementBasis(states)
@@ -170,15 +161,17 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     """Simulate one run: project the joint state onto a sampled measurement
     outcome, collapse the receiver's qubit, and apply the labeled correction.
 
-    The outcome is drawn from the exact Born probabilities with a seeded
-    generator, so identical arguments reproduce identical runs.
+    The joint state (info qubit first, receiver last) has the receiver blocks
+    [amp0·M; amp1·M], M being the resource's, so each basis state
+    (top, bottom) projects it to amp0·(top†M) + amp1·(bottom†M) without the
+    (n+1)-qubit joint vector ever being built. The outcome is drawn from the
+    exact Born probabilities with a seeded generator, so identical arguments
+    reproduce identical runs.
     """
     form = schmidt_form(resource, bob)
-    basis = measurement_basis(form)
-    joint = tensor(info.as_state(), resource)
-    moved = permute_qubits(joint, move_to_last_perm(joint.n, bob + 1))
-    blocks = moved.amps.reshape(-1, 2)
-    proj = np.array([s.amps.conj() @ blocks for s in basis.states])
+    blocks = _receiver_blocks(resource, bob)
+    halves = np.array([s.amps for s in measurement_basis(form).states]).reshape(4, 2, -1).conj()
+    proj = info.amp0 * (halves[:, 0] @ blocks) + info.amp1 * (halves[:, 1] @ blocks)
     probs = np.sum(np.abs(proj) ** 2, axis=1)
     rng = np.random.default_rng(seed)
     r = _draw_outcome(probs, rng)

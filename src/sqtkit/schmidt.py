@@ -24,6 +24,17 @@ with the analogous B̄ carrying the opposite sign, so Ā² + B̄² = 1. This is 
 rank-2 Schmidt decomposition: the bipartite concurrence between the
 receiver's qubit and the rest is C = 2ĀB̄, and the maximal average fidelity
 of teleporting one qubit over the resource is (2 + C)/3.
+
+The engine takes the root whose |0̄⟩ ∝ (1, z) is the top eigenvector of the
+receiver's reduced density ρ = [[A², g], [g*, B²]], g = A·B·K; that is the
+root with Ā ≥ B̄, the two roots' Ā² differing by the discriminant's square
+root. It reads the receiver blocks M = [A·ψ0, B·ψ1] once, forms the rotated
+branches M₀ + z*·M₁ and M₁ − z·M₀, puts the heavier one first (a basis swap,
+needed only when z = 0 and B > A), and gives a minor branch whose
+coefficient is ≤ DEGENERATE_TOL an exact direction orthogonal to the major
+one. `rotation_candidates` keeps the quadratic with both roots as an oracle,
+and `concurrence_via_density` is an independent route to C through a QR
+factorization of the amplitude matrix.
 """
 
 from __future__ import annotations
@@ -34,15 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, WrongQubitCount
-from .statevec import (
-    PAULI_X,
-    StateVector,
-    check_qubit_index,
-    inner,
-    move_to_last_perm,
-    permute_qubits,
-    reduced_density_one,
-)
+from .statevec import PAULI_X, StateVector, check_qubit_index, inner
 
 # Branch weight below this counts as an absent branch; block overlap below it
 # counts as already orthogonal (z = 0 then leaves a residual ≪ 1e-10).
@@ -73,10 +76,9 @@ class SchmidtForm:
 
     coeff0 ≥ coeff1 ≥ 0, the branches are orthonormal, concurrence equals
     2·coeff0·coeff1, and receiver_basis is the 2×2 unitary whose columns are
-    |0̄⟩ and |1̄⟩. Splits that need the branch order swapped are reachable
-    only as the z → ∞ limit of the rotation family, so for them
-    receiver_basis composes the z-rotation with a basis swap and z stays at
-    the finite root (0 in the degenerate cases).
+    |0̄⟩ and |1̄⟩. Splits that need the branch order swapped (z = 0 with
+    B > A) are reachable only as the z → ∞ limit of the rotation family, so
+    for them receiver_basis composes U(0) with a basis swap and z stays 0.
     """
 
     coeff0: float
@@ -88,15 +90,20 @@ class SchmidtForm:
     receiver_basis: np.ndarray
 
 
-def split_by_receiver(sv: StateVector, bob: int) -> BipartiteSplit:
-    """Split a resource by the receiver's qubit (moved internally to the
-    least-significant position; branch vectors keep the remaining qubits in
-    their original relative order)."""
+def _receiver_blocks(sv: StateVector, bob: int) -> np.ndarray:
+    """The (2^(n−1), 2) matrix M whose columns are the receiver-|0⟩ and
+    receiver-|1⟩ blocks A·|ψ0⟩ and B·|ψ1⟩, the other qubits kept in their
+    original relative order."""
     if sv.n < 2:
         raise WrongQubitCount(f"resource must have at least 2 qubits, got {sv.n}")
     check_qubit_index(sv.n, bob)
-    moved = permute_qubits(sv, move_to_last_perm(sv.n, bob))
-    blocks = moved.amps.reshape(-1, 2)
+    return np.moveaxis(sv.tensor_view(), bob, -1).reshape(-1, 2)
+
+
+def split_by_receiver(sv: StateVector, bob: int) -> BipartiteSplit:
+    """Split a resource by the receiver's qubit (branch vectors keep the
+    remaining qubits in their original relative order)."""
+    blocks = _receiver_blocks(sv, bob)
     w0 = float(np.linalg.norm(blocks[:, 0]))
     w1 = float(np.linalg.norm(blocks[:, 1]))
     branch0 = StateVector(sv.n - 1, blocks[:, 0] / w0) if w0 > DEGENERATE_TOL else None
@@ -128,28 +135,23 @@ def rotation_candidates(split: BipartiteSplit) -> tuple[complex, complex]:
     return (complex(z1), complex(z2))
 
 
-def _coeff0_sq(split: BipartiteSplit, z: complex) -> float:
-    """Ā² for a given rotation, via the closed normalization formula."""
-    a2 = split.weight0**2
-    b2 = split.weight1**2
-    cross = 2.0 * (split.overlap * z).real
-    return (a2 + b2 * abs(z) ** 2 + split.weight0 * split.weight1 * cross) / (1.0 + abs(z) ** 2)
+def _top_root(w0: float, w1: float, g: complex) -> complex:
+    """z of the top eigenvector (1, z) of ρ = [[A², g], [g*, B²]], g = A·B·K.
+
+    This is the root of the rotation quadratic with Ā ≥ B̄, in the form that
+    adds quantities of equal sign; 0 for an absent branch or |K| < OVERLAP_TOL.
+    """
+    if w0 <= DEGENERATE_TOL or w1 <= DEGENERATE_TOL or abs(g) < OVERLAP_TOL * w0 * w1:
+        return 0j
+    m = w0 * w0 - w1 * w1
+    disc = math.sqrt(m * m + 4.0 * abs(g) ** 2)
+    return complex(2.0 * g.conjugate() / (disc + m) if m >= 0.0 else (disc - m) / (2.0 * g))
 
 
 def solve_rotation(split: BipartiteSplit) -> complex:
-    """The rotation that orthogonalizes the branches, canonically chosen.
-
-    Prefers the root whose coefficients come out ordered (Ā ≥ B̄); remaining
-    ties go to nonnegative real part, then nonnegative imaginary part.
-    """
-    z1, z2 = rotation_candidates(split)
-    if z1 == z2:
-        return z1
-    c1 = _coeff0_sq(split, z1)
-    c2 = _coeff0_sq(split, z2)
-    if abs(c1 - c2) > 1e-14:
-        return z1 if c1 > c2 else z2
-    return max((z1, z2), key=lambda z: (z.real >= 0.0, z.imag >= 0.0))
+    """The rotation that orthogonalizes the branches with Ā ≥ B̄: the root of
+    the quadratic whose |0̄⟩ is the top eigenvector of the receiver's ρ."""
+    return _top_root(split.weight0, split.weight1, split.weight0 * split.weight1 * split.overlap)
 
 
 def rotation_matrix(z: complex) -> np.ndarray:
@@ -158,13 +160,12 @@ def rotation_matrix(z: complex) -> np.ndarray:
     return np.array([[c, -c * z.conjugate()], [c * z, c]], dtype=complex)
 
 
-def _orthogonal_filler(present: StateVector) -> StateVector:
-    """Some unit vector orthogonal to `present` (needs dim ≥ 2)."""
-    amps = present.amps
-    j = int(np.argmin(np.abs(amps)))
-    v = -amps * np.conj(amps[j])
+def _orthogonal_filler(present: np.ndarray) -> np.ndarray:
+    """Some unit vector orthogonal to the unit vector `present` (needs dim ≥ 2)."""
+    j = int(np.argmin(np.abs(present)))
+    v = -present * np.conj(present[j])
     v[j] += 1.0
-    return StateVector(present.n, v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
@@ -173,40 +174,32 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     Reassembling coeff0·branch0⊗(U|0⟩) + coeff1·branch1⊗(U|1⟩), with the
     receiver back at its original position, reproduces the input state.
     """
-    split = split_by_receiver(sv, bob)
-    z = solve_rotation(split)
+    blocks = _receiver_blocks(sv, bob)
+    w0 = float(np.linalg.norm(blocks[:, 0]))
+    w1 = float(np.linalg.norm(blocks[:, 1]))
+    z = _top_root(w0, w1, complex(np.vdot(blocks[:, 1], blocks[:, 0])))
+    scale = math.sqrt(1.0 + abs(z) ** 2)
+    raw0 = blocks[:, 0] + z.conjugate() * blocks[:, 1]
+    raw1 = blocks[:, 1] - z * blocks[:, 0]
+    c0 = float(np.linalg.norm(raw0)) / scale
+    c1 = float(np.linalg.norm(raw1)) / scale
     u = rotation_matrix(z)
-    if split.branch1 is None:
-        c0, b0 = split.weight0, split.branch0
-        c1, b1 = split.weight1, _orthogonal_filler(split.branch0)
-    elif split.branch0 is None:
-        c0, b0 = split.weight0, _orthogonal_filler(split.branch1)
-        c1, b1 = split.weight1, split.branch1
-    elif abs(split.overlap) < OVERLAP_TOL:
-        c0, b0, c1, b1 = split.weight0, split.branch0, split.weight1, split.branch1
-    else:
-        scale = math.sqrt(1.0 + abs(z) ** 2)
-        raw0 = split.weight0 * split.branch0.amps + split.weight1 * z.conjugate() * split.branch1.amps
-        raw1 = split.weight1 * split.branch1.amps - split.weight0 * z * split.branch0.amps
-        n0 = float(np.linalg.norm(raw0))
-        n1 = float(np.linalg.norm(raw1))
-        if n1 / scale < DEGENERATE_TOL:
-            # Rotated basis exposes a product state; keep the exact filler
-            # direction instead of a noise-dominated quotient.
-            c0, b0 = n0 / scale, StateVector(sv.n - 1, raw0 / n0)
-            c1, b1 = n1 / scale, _orthogonal_filler(b0)
-        elif n0 / scale < DEGENERATE_TOL:
-            c1, b1 = n1 / scale, StateVector(sv.n - 1, raw1 / n1)
-            c0, b0 = n0 / scale, _orthogonal_filler(b1)
-        else:
-            c0, b0 = n0 / scale, StateVector(sv.n - 1, raw0 / n0)
-            c1, b1 = n1 / scale, StateVector(sv.n - 1, raw1 / n1)
     if c1 > c0:
-        c0, c1, b0, b1 = c1, c0, b1, b0
+        c0, c1, raw0, raw1 = c1, c0, raw1, raw0
         u = u @ PAULI_X
+    b0 = raw0 / (c0 * scale)
+    # raw1 carries rounding of order 1e-16 absolute, i.e. 1e-16/coeff1 in
+    # direction: project out its b0 component, and where the branch is
+    # numerically absent use an exact direction orthogonal to b0 instead.
+    if c1 > DEGENERATE_TOL:
+        raw1 = raw1 - np.vdot(b0, raw1) * b0
+        b1 = raw1 / np.linalg.norm(raw1)
+    else:
+        b1 = _orthogonal_filler(b0)
     u = np.ascontiguousarray(u)
     u.flags.writeable = False
-    return SchmidtForm(c0, c1, complex(z), b0, b1, 2.0 * c0 * c1, u)
+    n = sv.n - 1
+    return SchmidtForm(c0, c1, z, StateVector(n, b0), StateVector(n, b1), 2.0 * c0 * c1, u)
 
 
 def concurrence(sv: StateVector, bob: int) -> float:
@@ -217,11 +210,17 @@ def concurrence(sv: StateVector, bob: int) -> float:
 def concurrence_via_density(sv: StateVector, bob: int) -> float:
     """Concurrence from the receiver's reduced density matrix, 2·√det ρ.
 
-    Independent of the rotation route; used to cross-check it.
+    Independent of the rotation route; used to cross-check it. With m the
+    (2, 2^(n−1)) amplitude matrix, ρ = m·m† and mᵀ = QR give det ρ =
+    |R₀₀·R₁₁|², so ρ is never formed and C → 0 keeps its absolute accuracy
+    instead of taking the square root of a cancelled determinant.
     """
-    rho = reduced_density_one(sv, bob)
-    det = float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
-    return 2.0 * math.sqrt(max(det, 0.0))
+    check_qubit_index(sv.n, bob)
+    if sv.n == 1:
+        return 0.0
+    m = np.moveaxis(sv.tensor_view(), bob, 0).reshape(2, -1)
+    r = np.linalg.qr(m.T, mode="r")
+    return 2.0 * float(abs(r[0, 0] * r[1, 1]))
 
 
 def maf(concurrence: float) -> float:

@@ -77,7 +77,7 @@ def new_state(n: int, amps) -> StateVector:
     """
     sv = StateVector(n, amps)
     norm = sv.norm()
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # negated so that a NaN norm fails too
         raise NotNormalized(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
     return StateVector(n, sv.amps / norm)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sqtkit import ghz, new_state
+from sqtkit import ghz, new_state, random_state
 from sqtkit.cli import load_document, main
 
 SQRT_HALF = math.sqrt(0.5)
@@ -76,6 +76,25 @@ class TestAnalyze:
         assert "concurrence:        0.000000" in capsys.readouterr().out
         main(["analyze", path, "--bob", "0"])
         assert "concurrence:        1.000000" in capsys.readouterr().out
+
+
+    def test_product_state_passes_oracle_gate(self, tmp_path, capsys):
+        # ψ_rest ⊗ (0.6|0⟩ + 0.8i|1⟩): a formed-ρ determinant once put the
+        # density route ~1e-8 off and the command exited 3
+        rest = random_state(4, np.random.default_rng(0)).amps
+        path = write_doc(tmp_path / "prod.json", 5, np.kron(rest, [0.6, 0.8j]))
+        assert main(["analyze", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["agreement_delta"] < 1e-14
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["check"], ["teleport", "--info", "1,0,0,0"]], ids=lambda a: a[0]
+)
+def test_nan_document_exit_two(tmp_path, argv):
+    amps = ghz(3).amps.copy()
+    amps[3] = float("nan")
+    path = write_doc(tmp_path / "nan.json", 3, amps)
+    assert main([argv[0], path, *argv[1:]]) == 2
 
 
 class TestCheck:
@@ -151,6 +170,9 @@ class TestTeleport:
     def test_missing_info_exit_two(self, ghz_file):
         assert main(["teleport", ghz_file]) == 2
 
+    def test_nan_info_exit_two(self, ghz_file):
+        assert main(["teleport", ghz_file, "--info", "nan,0,1,0"]) == 2
+
 
 class TestGen:
     def test_ghz_roundtrip(self, tmp_path, capsys):
@@ -178,6 +200,11 @@ class TestGen:
         code = main(["gen", "separable", "0.6", "0.5", "-o", str(tmp_path / "s.json")])
         assert code == 2
         assert "a² + b² must be ≤ 1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["3.5", "nan", "inf"])
+    def test_non_integer_qubit_count_exit_two(self, count, capsys):
+        assert main(["gen", "ghz", count]) == 2
+        assert "qubit count must be an integer" in capsys.readouterr().err
 
     def test_wrong_parameter_count(self, tmp_path, capsys):
         assert main(["gen", "w", "0.5", "-o", str(tmp_path / "w.json")]) == 2

@@ -142,6 +142,10 @@ class TestClassifyZha:
         with pytest.raises(ConstraintViolated):
             classify_zha((0.5, 0.0, 0.3))
 
+    def test_rejects_nan(self):
+        with pytest.raises(NotNormalized):
+            classify_zha((float("nan"), 0.0, 0.3, 0.4, SQRT_HALF))
+
 
 class TestClassifyAcinAlt:
     def test_perfect_instance(self):

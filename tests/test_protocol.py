@@ -44,6 +44,10 @@ class TestInfoQubit:
         with pytest.raises(NotNormalized):
             InfoQubit(1.0, 0.1)
 
+    def test_rejects_nan(self):
+        with pytest.raises(NotNormalized):
+            InfoQubit(float("nan"), 1.0)
+
 
 class TestMeasurementBasis:
     def test_two_qubit_resource_gives_bell_basis(self):
@@ -183,6 +187,16 @@ class TestRunTeleport:
             result = run_teleport(info, sv, bob, seed=trial)
             table = outcome_table(info, schmidt_form(sv, bob))
             rec = table[result.record.outcome]
+            assert result.record.fidelity == pytest.approx(rec.fidelity, abs=1e-12)
+            assert result.record.prob == pytest.approx(rec.prob, abs=1e-12)
+
+    def test_twelve_qubit_resource_agrees_with_table(self):
+        rng = np.random.default_rng(12)
+        sv = random_state(12, rng)
+        info = haar_random_info(rng)
+        for bob in (0, 5, 11):
+            result = run_teleport(info, sv, bob, seed=bob)
+            rec = outcome_table(info, schmidt_form(sv, bob))[result.record.outcome]
             assert result.record.fidelity == pytest.approx(rec.fidelity, abs=1e-12)
             assert result.record.prob == pytest.approx(rec.prob, abs=1e-12)
 

@@ -15,6 +15,7 @@ from sqtkit import (
     ghz,
     inner,
     maf,
+    move_to_last_perm,
     new_state,
     permute_qubits,
     random_state,
@@ -25,7 +26,7 @@ from sqtkit import (
     split_by_receiver,
     w_general,
 )
-from sqtkit.schmidt import BipartiteSplit
+from sqtkit.schmidt import DEGENERATE_TOL, OVERLAP_TOL, BipartiteSplit
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -221,6 +222,55 @@ class TestSchmidtForm:
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-15)
 
 
+def split_state(a, b, k, bob=2):
+    """A·|ψ0⟩|0⟩ + B·|ψ1⟩|1⟩ with ⟨ψ1|ψ0⟩ = K, renormalized, with the receiver
+    moved from the last position to `bob`."""
+    psi0 = np.array([0.6, 0, 0.8j, 0])
+    perp = np.array([0, 0.6, 0, -0.8])
+    psi1 = np.conj(k) * psi0 + math.sqrt(1.0 - abs(k) ** 2) * perp
+    amps = np.zeros(8, dtype=complex)
+    amps[0::2] = a * psi0
+    amps[1::2] = b * psi1
+    sv = new_state(3, amps / np.linalg.norm(amps))
+    return permute_qubits(sv, np.argsort(move_to_last_perm(3, bob)))
+
+
+def near_product(n, eps, seed):
+    """Haar rest ⊗ (0.6|0⟩ + 0.8i|1⟩) plus an eps-sized Haar perturbation."""
+    rng = np.random.default_rng(seed)
+    amps = np.kron(random_state(n - 1, rng).amps, [0.6, 0.8j])
+    amps = amps + eps * random_state(n, rng).amps
+    return new_state(n, amps / np.linalg.norm(amps))
+
+
+ENGINE_EDGES = {
+    **{f"weight-{f}x-degenerate": (split_state(1.0, f * DEGENERATE_TOL, 0.6 + 0.3j), 2)
+       for f in (0.5, 1, 2)},
+    **{f"overlap-{f}x-{name}": (split_state(a, b, f * OVERLAP_TOL * np.exp(0.4j)), 2)
+       for f in (0.5, 1, 3) for name, a, b in (("equal", 1.0, 1.0), ("unequal", 0.6, 0.8))},
+    **{f"near-product-{eps}-bob{bob}": (near_product(4, eps, 5), bob)
+       for eps in (0.0, 1e-12, 1e-9, 1e-6) for bob in (0, 3)},
+    "equal-weights-rotated": (split_state(1.0, 1.0, 0.3 * np.exp(1j)), 2),
+    "equal-weights-rotated-bob0": (split_state(1.0, 1.0, -0.5j, bob=0), 0),
+}
+
+
+@pytest.mark.parametrize("sv,bob", ENGINE_EDGES.values(), ids=ENGINE_EDGES.keys())
+def test_engine_edges(sv, bob):
+    form = schmidt_form(sv, bob)
+    assert abs(inner(form.branch1, form.branch0)) < 1e-10
+    assert abs(form.branch0.norm() - 1.0) < 1e-10
+    assert abs(form.branch1.norm() - 1.0) < 1e-10
+    assert abs(form.coeff0**2 + form.coeff1**2 - 1.0) < 1e-10
+    assert form.coeff0 >= form.coeff1 >= 0
+    np.testing.assert_allclose(reconstruct_form(form, sv.n, bob), sv.amps, atol=1e-10)
+    assert abs(form.concurrence - concurrence_via_density(sv, bob)) < 1e-10
+    if form.z != 0:
+        roots = rotation_candidates(split_by_receiver(sv, bob))
+        assert min(abs(form.z - r) for r in roots) <= 1e-12 * abs(form.z)
+        np.testing.assert_array_equal(form.receiver_basis, rotation_matrix(form.z))
+
+
 class TestConcurrence:
     def test_ghz_is_maximal(self):
         assert concurrence(ghz(3), 2) == pytest.approx(1.0)
@@ -237,6 +287,16 @@ class TestConcurrence:
                 assert abs(
                     concurrence(sv, bob) - concurrence_via_density(sv, bob)
                 ) < 1e-10
+
+    @pytest.mark.parametrize("n,seed", [(2, 3), (3, 0), (4, 3), (5, 6), (6, 4)])
+    def test_density_route_on_product_states(self, n, seed):
+        # the square root of a cancelled det ρ would come out ~1e-8 here
+        sv = near_product(n, 0.0, seed)
+        assert concurrence_via_density(sv, n - 1) < 1e-14
+        assert concurrence(sv, n - 1) < 1e-14
+
+    def test_density_route_single_qubit(self):
+        assert concurrence_via_density(new_state(1, [0.6, 0.8j]), 0) == 0.0
 
     def test_density_route_agrees_with_brute_force(self, small_corpus):
         for sv in small_corpus[:30]:

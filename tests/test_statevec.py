@@ -50,6 +50,10 @@ class TestNewState:
         with pytest.raises(NotNormalized):
             new_state(2, [1, 0, 0, 0.1])
 
+    def test_rejects_nan(self):
+        with pytest.raises(NotNormalized):
+            new_state(2, [float("nan"), 0, 0, 1])
+
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):
             new_state(2, [1, 0, 0])
