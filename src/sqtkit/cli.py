@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +34,7 @@ def load_document(path: str) -> tuple[StateVector, int, str | None]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
             raise InvalidDocument(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InvalidDocument(f"{path}: top-level value must be an object")
@@ -43,10 +44,16 @@ def load_document(path: str) -> tuple[StateVector, int, str | None]:
     pairs = doc.get("amplitudes")
     if not isinstance(pairs, list):
         raise InvalidDocument(f"{path}: field 'amplitudes' must be a list of [re, im] pairs")
+    bad_pairs = InvalidDocument(f"{path}: amplitudes must be [re, im] number pairs")
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        raise bad_pairs
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:  # json.load gives true/false the type bool
+        raise bad_pairs
     try:
-        amps = np.array([complex(float(p[0]), float(p[1])) for p in pairs])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InvalidDocument(f"{path}: amplitudes must be [re, im] number pairs") from exc
+        amps = np.array(flat, dtype=float).view(complex)
+    except OverflowError as exc:  # an int beyond the float range
+        raise bad_pairs from exc
     sv = new_state(n, amps)
     bob = doc.get("bob", n - 1)
     if not isinstance(bob, int) or isinstance(bob, bool):
@@ -68,145 +75,117 @@ def document_dict(sv: StateVector, bob: int, label: str | None) -> dict:
     return doc
 
 
-def cmd_analyze(args) -> int:
+def _open(args) -> tuple[StateVector, int, dict]:
+    """Load the document, apply --bob and start the report fields."""
     sv, bob, label = load_document(args.input)
     bob = bob if args.bob is None else args.bob
+    return sv, bob, {"n": sv.n, "bob": bob, "label": label}
+
+
+def _report(args, fields: dict, rows: list) -> None:
+    """Print `fields` as JSON, or a header and the rows: (name, value) pairs or preformatted lines."""
+    if args.format == "json":
+        print(json.dumps(fields))
+        return
+    print(f"state: {fields['label'] or args.input} (n={fields['n']}), receiver qubit {fields['bob']}")
+    for row in rows:
+        print(row if isinstance(row, str) else f"{row[0] + ':':<19} {row[1]}")
+
+
+# The rotation and density routes agree to ~1e-15 on every normalized state, so a
+# larger gap means a broken route, not an unusual input: `analyze` then exits 3.
+ORACLE_TOL = 1e-9
+
+
+def cmd_analyze(args) -> int:
+    sv, bob, fields = _open(args)
     form = schmidt_form(sv, bob)
     oracle = concurrence_via_density(sv, bob)
     delta = abs(form.concurrence - oracle)
-    if delta > args.tol:
+    if not delta <= ORACLE_TOL:
         print(f"internal error: concurrence routes disagree by {delta}", file=sys.stderr)
         return 3
-    fields = {
-        "n": sv.n,
-        "bob": bob,
-        "label": label,
-        "coeff0": form.coeff0,
-        "coeff1": form.coeff1,
-        "z": [form.z.real, form.z.imag],
-        "concurrence": form.concurrence,
-        "oracle_concurrence": oracle,
-        "agreement_delta": delta,
-        "maf": maf(form.concurrence),
-    }
-    if args.format == "json":
-        print(json.dumps(fields))
-    else:
-        print(f"state: {label or args.input} (n={sv.n}), receiver qubit {bob}")
-        print(f"schmidt coeff 0:    {form.coeff0:.6f}")
-        print(f"schmidt coeff 1:    {form.coeff1:.6f}")
-        print(f"rotation z:         {form.z.real:.6f}{form.z.imag:+.6f}j")
-        print(f"concurrence:        {form.concurrence:.6f}")
-        print(f"oracle concurrence: {oracle:.6f}")
-        print(f"agreement delta:    {delta:.6f}")
-        print(f"max avg fidelity:   {maf(form.concurrence):.6f}")
+    fidelity = maf(form.concurrence)
+    fields.update(coeff0=form.coeff0, coeff1=form.coeff1, z=[form.z.real, form.z.imag],
+                  concurrence=form.concurrence, oracle_concurrence=oracle,
+                  agreement_delta=delta, maf=fidelity)
+    _report(args, fields, [
+        ("schmidt coeff 0", f"{form.coeff0:.6f}"),
+        ("schmidt coeff 1", f"{form.coeff1:.6f}"),
+        ("rotation z", f"{form.z.real:.6f}{form.z.imag:+.6f}j"),
+        ("concurrence", f"{form.concurrence:.6f}"),
+        ("oracle concurrence", f"{oracle:.6f}"),
+        ("agreement delta", f"{delta:.6f}"),
+        ("max avg fidelity", f"{fidelity:.6f}"),
+    ])
     return 0
 
 
 def cmd_check(args) -> int:
-    sv, bob, label = load_document(args.input)
-    bob = bob if args.bob is None else args.bob
+    sv, bob, fields = _open(args)
     general = check_general(sv, bob, args.tol)
-    fields = {
-        "n": sv.n,
-        "bob": bob,
-        "label": label,
-        "residual_balance": general.residual_balance,
-        "residual_overlap": general.residual_overlap,
-        "tolerance": general.tolerance,
-        "verdict": general.verdict,
-    }
+    fields.update(residual_balance=general.residual_balance, residual_overlap=general.residual_overlap,
+                  tolerance=general.tolerance, verdict=general.verdict)
+    rows = [("residual balance", f"{general.residual_balance:.6f}"),
+            ("residual overlap", f"{general.residual_overlap:.6f}")]
     if sv.n == 3:
         amp_form = check_3qubit(sv, bob, args.tol)
-        fields["amp_residual_balance"] = amp_form.residual_balance
-        fields["amp_residual_overlap"] = amp_form.residual_overlap
-    if args.format == "json":
-        print(json.dumps(fields))
-    else:
-        print(f"state: {label or args.input} (n={sv.n}), receiver qubit {bob}")
-        print(f"residual balance:   {general.residual_balance:.6f}")
-        print(f"residual overlap:   {general.residual_overlap:.6f}")
-        if sv.n == 3:
-            print(f"amp form balance:   {fields['amp_residual_balance']:.6f}")
-            print(f"amp form overlap:   {fields['amp_residual_overlap']:.6f}")
-        print(f"tolerance:          {general.tolerance:.1e}")
-        print(f"verdict:            {'perfect' if general.verdict else 'not perfect'}")
+        fields.update(amp_residual_balance=amp_form.residual_balance,
+                      amp_residual_overlap=amp_form.residual_overlap)
+        rows += [("amp form balance", f"{amp_form.residual_balance:.6f}"),
+                 ("amp form overlap", f"{amp_form.residual_overlap:.6f}")]
+    rows += [("tolerance", f"{general.tolerance:.1e}"),
+             ("verdict", "perfect" if general.verdict else "not perfect")]
+    _report(args, fields, rows)
     return 0 if general.verdict else 1
 
 
 def _parse_info(args) -> InfoQubit:
-    if args.info is not None:
-        parts = args.info.split(",")
-        if len(parts) != 4:
-            raise InvalidDocument("--info needs four comma-separated numbers: re0,im0,re1,im1")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise InvalidDocument(f"--info values must be numbers: {args.info}") from exc
-        return InfoQubit(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
-    return haar_random_info(args.seed)
+    if args.info is None:
+        if not args.haar:
+            raise InvalidDocument("teleport needs --info re0,im0,re1,im1 or --haar (or --samples N)")
+        return haar_random_info(args.seed)
+    parts = args.info.split(",")
+    if len(parts) != 4:
+        raise InvalidDocument("--info needs four comma-separated numbers: re0,im0,re1,im1")
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError as exc:
+        raise InvalidDocument(f"--info values must be numbers: {args.info}") from exc
+    return InfoQubit(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
 
 
 def cmd_teleport(args) -> int:
-    sv, bob, label = load_document(args.input)
-    bob = bob if args.bob is None else args.bob
-    name = label or args.input
+    sv, bob, fields = _open(args)
     if args.samples:
         est = average_fidelity_mc(sv, bob, args.samples, args.seed)
         form = schmidt_form(sv, bob)
         closed = maf(form.concurrence)
-        fields = {
-            "n": sv.n,
-            "bob": bob,
-            "label": label,
-            "samples": est.samples,
-            "estimate": est.mean,
-            "stderr": est.stderr,
-            "closed_form": closed,
-            "concurrence": form.concurrence,
-        }
-        if args.format == "json":
-            print(json.dumps(fields))
-        else:
-            print(f"state: {name} (n={sv.n}), receiver qubit {bob}")
-            print(f"samples:            {est.samples}")
-            print(f"mc estimate:        {est.mean:.6f} ± {est.stderr:.6f}")
-            print(f"closed form (2+C)/3: {closed:.6f}")
+        fields.update(samples=est.samples, estimate=est.mean, stderr=est.stderr,
+                      closed_form=closed, concurrence=form.concurrence)
+        _report(args, fields, [
+            ("samples", est.samples),
+            ("mc estimate", f"{est.mean:.6f} ± {est.stderr:.6f}"),
+            ("closed form (2+C)/3", f"{closed:.6f}"),
+        ])
         return 0
-    if args.info is None and not args.haar:
-        raise InvalidDocument("teleport needs --info re0,im0,re1,im1 or --haar (or --samples N)")
     info = _parse_info(args)
     form = schmidt_form(sv, bob)
     records = outcome_table(info, form)
     total = sum(rec.prob * rec.fidelity for rec in records)
-    fields = {
-        "n": sv.n,
-        "bob": bob,
-        "label": label,
-        "info": [[info.amp0.real, info.amp0.imag], [info.amp1.real, info.amp1.imag]],
-        "outcomes": [
-            {
-                "r": rec.outcome,
-                "prob": rec.prob,
-                "correction": rec.correction,
-                "fidelity": rec.fidelity,
-            }
-            for rec in records
-        ],
-        "sum_pf": total,
-    }
-    if args.format == "json":
-        print(json.dumps(fields))
-    else:
-        print(f"state: {name} (n={sv.n}), receiver qubit {bob}")
-        print(
-            f"info qubit: amp0={info.amp0.real:.6f}{info.amp0.imag:+.6f}j "
-            f"amp1={info.amp1.real:.6f}{info.amp1.imag:+.6f}j"
-        )
-        print("r  P(r)      correction  F(r)")
-        for rec in records:
-            print(f"{rec.outcome}  {rec.prob:.6f}  {rec.correction:<10}  {rec.fidelity:.6f}")
-        print(f"sum P(r)F(r): {total:.6f}")
+    fields.update(
+        info=[[info.amp0.real, info.amp0.imag], [info.amp1.real, info.amp1.imag]],
+        outcomes=[{"r": rec.outcome, "prob": rec.prob, "correction": rec.correction, "fidelity": rec.fidelity}
+                  for rec in records],
+        sum_pf=total,
+    )
+    _report(args, fields, [
+        f"info qubit: amp0={info.amp0.real:.6f}{info.amp0.imag:+.6f}j "
+        f"amp1={info.amp1.real:.6f}{info.amp1.imag:+.6f}j",
+        "r  P(r)      correction  F(r)",
+        *(f"{rec.outcome}  {rec.prob:.6f}  {rec.correction:<10}  {rec.fidelity:.6f}" for rec in records),
+        f"sum P(r)F(r): {total:.6f}",
+    ])
     return 0
 
 
@@ -257,6 +236,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqtkit",
@@ -270,11 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_tol=True):
+    def add_io(p):
         p.add_argument("input", help="path to a state document (JSON)")
         p.add_argument("--bob", type=int, default=None, help="receiver qubit (default: document's, else n-1)")
-        if with_tol:
-            p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance (default 1e-9)")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_analyze = sub.add_parser("analyze", help="Schmidt form, concurrence, and (2+C)/3")
@@ -283,16 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="perfect-teleportation conditions (exit 0 iff they hold)")
     add_io(p_check)
+    p_check.add_argument("--tol", type=_tolerance, default=1e-9, help="verdict tolerance (default 1e-9)")
     p_check.set_defaults(func=cmd_check)
 
     p_tel = sub.add_parser("teleport", help="outcome table for a given info qubit, or MC average fidelity")
-    add_io(p_tel, with_tol=False)
+    add_io(p_tel)
     p_tel.add_argument("--info", default=None, metavar="RE0,IM0,RE1,IM1",
                        help="information qubit amplitudes")
     p_tel.add_argument("--haar", action="store_true", help="draw a Haar-random information qubit")
     p_tel.add_argument("--samples", type=int, default=0,
                        help="Monte Carlo sample count for the average fidelity")
-    p_tel.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_tel.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p_tel.set_defaults(func=cmd_teleport)
 
     p_gen = sub.add_parser("gen", help="generate a named family state document")
@@ -301,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--theta", type=float, default=0.0, help="phase parameter (radians)")
     p_gen.add_argument("--delta", type=float, default=0.0, help="phase parameter (radians)")
     p_gen.add_argument("--gamma", type=float, default=0.0, help="phase parameter (radians)")
-    p_gen.add_argument("--seed", type=int, default=0, help="RNG seed for family 'random'")
+    p_gen.add_argument("--seed", type=_seed, default=0, help="RNG seed for family 'random'")
     p_gen.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
     p_gen.set_defaults(func=cmd_gen)
     return parser

@@ -256,3 +256,83 @@ class TestInternalErrorPath:
 
         monkeypatch.setattr(cli, "concurrence_via_density", lambda sv, bob: 0.5)
         assert main(["analyze", ghz_file]) == 3
+
+
+GOLDEN_W = {
+    "analyze": ([], 0, [
+        "state: w (n=3), receiver qubit 2",
+        "schmidt coeff 0:    0.816497",
+        "schmidt coeff 1:    0.577350",
+        "rotation z:         0.000000+0.000000j",
+        "concurrence:        0.942809",
+        "oracle concurrence: 0.942809",
+        "agreement delta:    0.000000",
+        "max avg fidelity:   0.980936",
+    ]),
+    "check": ([], 1, [
+        "state: w (n=3), receiver qubit 2",
+        "residual balance:   0.333333",
+        "residual overlap:   0.000000",
+        "amp form balance:   0.333333",
+        "amp form overlap:   0.000000",
+        "tolerance:          1.0e-09",
+        "verdict:            not perfect",
+    ]),
+    "teleport-info": (["--info", "0.6,0,0,0.8"], 0, [
+        "state: w (n=3), receiver qubit 2",
+        "info qubit: amp0=0.600000+0.000000j amp1=0.000000+0.800000j",
+        "r  P(r)      correction  F(r)",
+        "0  0.226667  U†          0.970934",
+        "1  0.226667  σzU†        0.970934",
+        "2  0.273333  σxU†        0.975896",
+        "3  0.273333  σxσzU†      0.975896",
+        "sum P(r)F(r): 0.973646",
+    ]),
+    "teleport-samples": (["--samples", "1000", "--seed", "2"], 0, [
+        "state: w (n=3), receiver qubit 2",
+        "samples:            1000",
+        "mc estimate:        0.980600 ± 0.000270",
+        "closed form (2+C)/3: 0.980936",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_W))
+def test_golden_text_report(case, w_file, capsys):
+    # every line and column of the text reports, not just one substring
+    extra, code, lines = GOLDEN_W[case]
+    assert main([case.split("-")[0], w_file, *extra]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("pair", [
+    b'{"0": 0.7, "1": 0}',
+    b'[1, "caf\xe9"]',
+    b'"10"',
+    b'[1, 0, 99]',
+    b'[true, false]',
+    b'[1' + b"0" * 400 + b', 0]',
+], ids=["object-pair", "not-utf8", "string-pair", "three-values", "bools", "int-overflow"])
+def test_malformed_pair_exit_two(pair, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"n": 2, "amplitudes": [' + pair + b', [0, 0], [0, 0], [0, 0]]}')
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_check_tol_must_be_positive_finite(tol, ghz_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", ghz_file, "--tol", tol])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "random", "3"], ["teleport", "DOC", "--haar"], ["teleport", "DOC", "--samples", "10"]],
+    ids=["gen-random", "teleport-haar", "teleport-samples"],
+)
+def test_negative_seed_usage_error(argv, ghz_file):
+    with pytest.raises(SystemExit) as exc:
+        main([ghz_file if a == "DOC" else a for a in argv] + ["--seed", "-1"])
+    assert exc.value.code == 2
