@@ -11,6 +11,8 @@ fidelity over Haar-random information qubits.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,9 +21,12 @@ import numpy as np
 from .errors import NotNormalized, OutOfRange
 from .families import SQRT_HALF
 from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
-from .statevec import PAULI_X, PAULI_Z, StateVector, apply_one_qubit, inner
+from .statevec import PAULI_X, PAULI_Z, StateVector
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
+# Haar samples drawn and reduced at a time by average_fidelity_mc, which
+# bounds its memory at about 80 MB whatever the sample count.
+MC_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,34 +132,28 @@ def outcome_table(info: InfoQubit, form: SchmidtForm) -> list[OutcomeRecord]:
     a, b = info.amp0, info.amp1
     pa, pb = abs(a) ** 2, abs(b) ** 2
     ca, cb = form.coeff0, form.coeff1
-    u = form.receiver_basis
     p01 = 0.5 * (pa * ca**2 + pb * cb**2)
     p23 = 0.5 * (pb * ca**2 + pa * cb**2)
     f01 = _fidelity_from(pa * ca + pb * cb, p01)
     f23 = _fidelity_from(pb * ca + pa * cb, p23)
-    rotated_coeffs = (
-        (a * ca, b * cb, p01, f01),
-        (a * ca, -b * cb, p01, f01),
-        (b * ca, a * cb, p23, f23),
-        (b * ca, -a * cb, p23, f23),
-    )
-    records = []
-    for r, (top, bottom, prob, fid) in enumerate(rotated_coeffs):
-        coeffs = np.array([top, bottom], dtype=complex)
-        norm = np.linalg.norm(coeffs)
-        if norm > 1e-15:
-            bob = StateVector(1, u @ (coeffs / norm))
-        else:
-            bob = StateVector(1, u[:, 0].copy())
-        records.append(OutcomeRecord(r, float(prob), bob, CORRECTION_LABELS[r], fid))
-    return records
+    pairs = []
+    for top, bottom in ((a * ca, b * cb), (a * ca, -b * cb), (b * ca, a * cb), (b * ca, -a * cb)):
+        norm = math.hypot(abs(top), abs(bottom))
+        # an outcome of probability zero collapses to nothing; report |0̄⟩
+        pairs.append((top / norm, bottom / norm) if norm > 1e-15 else (1.0, 0.0))
+    bob_states = np.array(pairs) @ form.receiver_basis.T
+    probs, fids = (p01, p01, p23, p23), (f01, f01, f23, f23)
+    return [
+        OutcomeRecord(r, probs[r], StateVector(1, bob_states[r]), CORRECTION_LABELS[r], fids[r])
+        for r in range(4)
+    ]
 
 
-def _draw_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
+def _draw_outcome(probs: list[float], rng: np.random.Generator) -> int:
     """Sample an index from unnormalized Born weights by cumulative inversion."""
-    edges = np.cumsum(probs)
-    r = int(np.searchsorted(edges, rng.uniform(0.0, edges[-1]), side="right"))
-    return min(r, probs.size - 1)
+    edges = list(itertools.accumulate(probs))
+    r = bisect.bisect_right(edges, rng.uniform(0.0, edges[-1]))
+    return min(r, len(edges) - 1)
 
 
 def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> TeleportResult:
@@ -162,23 +161,34 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     outcome, collapse the receiver's qubit, and apply the labeled correction.
 
     The joint state (info qubit first, receiver last) has the receiver blocks
-    [amp0·M; amp1·M], M being the resource's, so each basis state
-    (top, bottom) projects it to amp0·(top†M) + amp1·(bottom†M) without the
-    (n+1)-qubit joint vector ever being built. The outcome is drawn from the
-    exact Born probabilities with a seeded generator, so identical arguments
-    reproduce identical runs.
+    [amp0·M; amp1·M], M being the resource's. The basis states of
+    :func:`measurement_basis` pair the branches b0, b1 as (top, bottom), so
+    with the branch rows p = (1/√2)·[b0; b1]^*·M outcome r projects the joint
+    state to amp0·p_top + amp1·p_bottom, (p_top, p_bottom) being (p0, p1),
+    (p0, −p1), (p1, p0) and (p1, −p0); neither the (n+1)-qubit joint vector
+    nor the basis states are built. The outcome is drawn from the exact Born
+    weights with a seeded generator, so identical arguments reproduce
+    identical runs. The correction matrix is unitary by construction and is
+    applied without re-checking it.
     """
     form = schmidt_form(resource, bob)
-    blocks = _receiver_blocks(resource, bob)
-    halves = np.array([s.amps for s in measurement_basis(form).states]).reshape(4, 2, -1).conj()
-    proj = info.amp0 * (halves[:, 0] @ blocks) + info.amp1 * (halves[:, 1] @ blocks)
-    probs = np.sum(np.abs(proj) ** 2, axis=1)
+    rows = SQRT_HALF * np.array((form.branch0.amps, form.branch1.amps)).conj()
+    p0, p1 = (rows @ _receiver_blocks(resource, bob)).tolist()
+    a0, a1 = info.amp0, info.amp1
+    proj = (
+        [a0 * x + a1 * y for x, y in zip(p0, p1)],
+        [a0 * x - a1 * y for x, y in zip(p0, p1)],
+        [a0 * y + a1 * x for x, y in zip(p0, p1)],
+        [a0 * y - a1 * x for x, y in zip(p0, p1)],
+    )
+    probs = [abs(u) ** 2 + abs(v) ** 2 for u, v in proj]
     rng = np.random.default_rng(seed)
     r = _draw_outcome(probs, rng)
-    collapsed = StateVector(1, proj[r] / math.sqrt(probs[r]))
-    final = apply_one_qubit(collapsed, 0, correction_matrix(r, form.receiver_basis))
-    fidelity = float(abs(inner(info.as_state(), final)) ** 2)
-    record = OutcomeRecord(r, float(probs[r]), collapsed, CORRECTION_LABELS[r], fidelity)
+    collapsed = StateVector(1, np.array(proj[r]) / math.sqrt(probs[r]))
+    final = StateVector(1, correction_matrix(r, form.receiver_basis) @ collapsed.amps)
+    f0, f1 = final.amps.tolist()
+    fidelity = abs(a0.conjugate() * f0 + a1.conjugate() * f1) ** 2
+    record = OutcomeRecord(r, probs[r], collapsed, CORRECTION_LABELS[r], fidelity)
     return TeleportResult(record, final)
 
 
@@ -212,11 +222,23 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
     if samples < 1:
         raise OutOfRange(f"samples must be ≥ 1, got {samples}")
     form = schmidt_form(resource, bob)
-    pairs = haar_info_samples(samples, seed)
-    pa = np.abs(pairs[:, 0]) ** 2
-    pb = 1.0 - pa
     ca, cb = form.coeff0, form.coeff1
-    values = (pa * ca + pb * cb) ** 2 + (pb * ca + pa * cb) ** 2
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    gen = np.random.default_rng(seed)
+    # Chunks of at most MC_CHUNK draws from one generator, merged exactly
+    # (Chan et al.): with a single chunk the result is values.mean() and
+    # values.std(ddof=1)/√samples bit for bit.
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, samples, MC_CHUNK):
+        size = min(MC_CHUNK, samples - start)
+        pa = np.abs(haar_info_samples(size, gen)[:, 0]) ** 2
+        pb = 1.0 - pa
+        values = (pa * ca + pb * cb) ** 2 + (pb * ca + pa * cb) ** 2
+        chunk_mean = float(values.mean())
+        chunk_m2 = float(np.sum((values - chunk_mean) ** 2))
+        total = count + size
+        delta = chunk_mean - mean
+        mean += delta * (size / total)
+        m2 += chunk_m2 + delta * delta * (count * size / total)
+        count = total
+    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) if samples > 1 else 0.0
     return McEstimate(mean, stderr, samples)

@@ -97,7 +97,8 @@ def _receiver_blocks(sv: StateVector, bob: int) -> np.ndarray:
     if sv.n < 2:
         raise WrongQubitCount(f"resource must have at least 2 qubits, got {sv.n}")
     check_qubit_index(sv.n, bob)
-    return np.moveaxis(sv.tensor_view(), bob, -1).reshape(-1, 2)
+    # index = (qubits before bob, bob, qubits after bob); bob's axis goes last
+    return sv.amps.reshape(1 << bob, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
 
 
 def split_by_receiver(sv: StateVector, bob: int) -> BipartiteSplit:
@@ -160,6 +161,10 @@ def rotation_matrix(z: complex) -> np.ndarray:
     return np.array([[c, -c * z.conjugate()], [c * z, c]], dtype=complex)
 
 
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def _orthogonal_filler(present: np.ndarray) -> np.ndarray:
     """Some unit vector orthogonal to the unit vector `present` (needs dim ≥ 2)."""
     j = int(np.argmin(np.abs(present)))
@@ -175,14 +180,14 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     receiver back at its original position, reproduces the input state.
     """
     blocks = _receiver_blocks(sv, bob)
-    w0 = float(np.linalg.norm(blocks[:, 0]))
-    w1 = float(np.linalg.norm(blocks[:, 1]))
-    z = _top_root(w0, w1, complex(np.vdot(blocks[:, 1], blocks[:, 0])))
+    # M†M = [[A², g*], [g, B²]]: both weights and g = A·B·K from one product
+    (a2, _), (g, b2) = (blocks.conj().T @ blocks).tolist()
+    z = _top_root(math.sqrt(a2.real), math.sqrt(b2.real), g)
     scale = math.sqrt(1.0 + abs(z) ** 2)
     raw0 = blocks[:, 0] + z.conjugate() * blocks[:, 1]
     raw1 = blocks[:, 1] - z * blocks[:, 0]
-    c0 = float(np.linalg.norm(raw0)) / scale
-    c1 = float(np.linalg.norm(raw1)) / scale
+    c0 = _norm(raw0) / scale
+    c1 = _norm(raw1) / scale
     u = rotation_matrix(z)
     if c1 > c0:
         c0, c1, raw0, raw1 = c1, c0, raw1, raw0
@@ -193,7 +198,7 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     # numerically absent use an exact direction orthogonal to b0 instead.
     if c1 > DEGENERATE_TOL:
         raw1 = raw1 - np.vdot(b0, raw1) * b0
-        b1 = raw1 / np.linalg.norm(raw1)
+        b1 = raw1 / _norm(raw1)
     else:
         b1 = _orthogonal_filler(b0)
     u = np.ascontiguousarray(u)

@@ -10,6 +10,7 @@ arrays are marked read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ class StateVector:
         return 2**self.n
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        # vdot raises no numpy overflow warning: huge amplitudes give inf
+        return math.sqrt(np.vdot(self.amps, self.amps).real)
 
     def tensor_view(self) -> np.ndarray:
         """Read-only view shaped (2,)*n, one axis per qubit."""

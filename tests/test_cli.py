@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqtkit
 from sqtkit import ghz, new_state, random_state
 from sqtkit.cli import load_document, main
 
@@ -195,6 +200,19 @@ class TestGen:
     def test_unnormalized_w_exit_two(self, tmp_path, capsys):
         assert main(["gen", "w", "0.7", "0.7", "0.2", "-o", str(tmp_path / "w.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_overflowing_amplitudes_print_only_the_error(self, tmp_path):
+        # a subprocess, so that a numpy RuntimeWarning would reach stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(sqtkit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "sqtkit.cli",
+             "gen", "w", "1e308", "1e308", "0", "-o", str(tmp_path / "w.json")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: state norm inf deviates from 1 by more than 1e-09"
+        ]
 
     def test_constraint_violation_names_inequality(self, tmp_path, capsys):
         code = main(["gen", "separable", "0.6", "0.5", "-o", str(tmp_path / "s.json")])

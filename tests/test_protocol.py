@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sqtkit import protocol
 from sqtkit import (
     CORRECTION_LABELS,
     InfoQubit,
@@ -19,11 +21,14 @@ from sqtkit import (
     inner,
     maf,
     measurement_basis,
+    move_to_last_perm,
     new_state,
     outcome_table,
+    permute_qubits,
     random_state,
     run_teleport,
     schmidt_form,
+    tensor,
     w_general,
 )
 
@@ -79,6 +84,33 @@ class TestMeasurementBasis:
                 [[inner(x, y) for y in states] for x in states]
             )
             np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
+
+
+class TestMeasurementBasisDrivesTheRun:
+    def test_joint_state_overlaps_are_the_born_weights(self):
+        # run_teleport projects with the branch rows only; the explicit
+        # (n+1)-qubit joint state projected onto measurement_basis must give
+        # the same four weights, read off the drawn outcome across seeds
+        rng = np.random.default_rng(41)
+        cases = [(ghz(3), 2), (standard_w(), 0), (basis_state(4, 0b0110), 1)]
+        cases += [(random_state(n, rng), int(rng.integers(n))) for n in range(2, 7) for _ in range(3)]
+        for sv, bob in cases:
+            info = haar_random_info(rng)
+            rest_then_bob = permute_qubits(sv, move_to_last_perm(sv.n, bob))
+            joint = tensor(info.as_state(), rest_then_bob).amps.reshape(-1, 2)
+            weights = [
+                float(np.linalg.norm(state.amps.conj() @ joint) ** 2)
+                for state in measurement_basis(schmidt_form(sv, bob)).states
+            ]
+            assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+            unseen = {r for r, w in enumerate(weights) if w > 1e-2}
+            for seed in range(500):
+                record = run_teleport(info, sv, bob, seed=seed).record
+                assert record.prob == pytest.approx(weights[record.outcome], abs=1e-12)
+                unseen.discard(record.outcome)
+                if not unseen:
+                    break
+            assert not unseen, (sv.n, bob, weights)
 
 
 class TestOutcomeTable:
@@ -296,3 +328,45 @@ class TestAverageFidelityMc:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(OutOfRange):
             average_fidelity_mc(ghz(3), 2, 0, 0)
+
+
+def _summed_fidelities(pairs, form):
+    pa = np.abs(pairs[:, 0]) ** 2
+    ca, cb = form.coeff0, form.coeff1
+    return (pa * ca + (1 - pa) * cb) ** 2 + ((1 - pa) * ca + pa * cb) ** 2
+
+
+class TestMonteCarloChunks:
+    def test_single_chunk_is_the_plain_reduction(self, monkeypatch):
+        sv = random_state(3, 11)
+        values = _summed_fidelities(haar_info_samples(1000, 8), schmidt_form(sv, 1))
+        for chunk in (protocol.MC_CHUNK, 1000):
+            monkeypatch.setattr(protocol, "MC_CHUNK", chunk)
+            est = average_fidelity_mc(sv, 1, 1000, 8)
+            assert est.mean == float(values.mean())
+            assert est.stderr == float(values.std(ddof=1) / math.sqrt(1000))
+
+    def test_chunks_merge_to_the_concatenated_draws(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MC_CHUNK", 1000)
+        sv = random_state(4, 12)
+        gen = np.random.default_rng(5)
+        pairs = np.concatenate([haar_info_samples(size, gen) for size in (1000, 1000, 1000, 517)])
+        values = _summed_fidelities(pairs, schmidt_form(sv, 2))
+        est = average_fidelity_mc(sv, 2, 3517, 5)
+        assert est.samples == 3517
+        assert est.mean == pytest.approx(values.mean(), rel=1e-14)
+        assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(3517), rel=1e-12)
+
+    def test_peak_memory_does_not_grow_with_samples(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MC_CHUNK", 4096)
+        sv = random_state(3, 13)
+        peaks = []
+        for samples in (4096, 40 * 4096):
+            tracemalloc.start()
+            try:
+                average_fidelity_mc(sv, 2, samples, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # all draws at once would take ≥ 32 B per sample (the complex pairs)
+        assert peaks[1] < 2 * peaks[0] < 40 * 4096 * 32

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,13 @@ class TestNewState:
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):
             new_state(2, [1, 0, 0])
+
+    @pytest.mark.parametrize("amps", [[1e308, 1e308, 0, 0], [1e200j, 0, 1e200, 0], [np.inf, 0, 0, 0]])
+    def test_rejects_overflowing_norm_without_numpy_warning(self, amps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalized):
+                new_state(2, amps)
 
     def test_rejects_bad_qubit_count(self):
         with pytest.raises(TooManyQubits):
