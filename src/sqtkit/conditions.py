@@ -58,10 +58,10 @@ def check_3qubit(resource: StateVector, bob: int, tol: float = 1e-9) -> PerfectV
     if resource.n != 3:
         raise WrongQubitCount(f"need exactly 3 qubits, got {resource.n}")
     check_qubit_index(3, bob)
-    moved = permute_qubits(resource, move_to_last_perm(3, bob))
-    blocks = moved.amps.reshape(4, 2)
-    balance = abs(float(np.sum(np.abs(blocks[:, 0]) ** 2 - np.abs(blocks[:, 1]) ** 2)))
-    overlap = abs(complex(np.vdot(blocks[:, 0], blocks[:, 1])))
+    amps = permute_qubits(resource, move_to_last_perm(3, bob)).amps
+    x, y = amps[0::2], amps[1::2]
+    balance = abs(float(np.vdot(x, x).real - np.vdot(y, y).real))
+    overlap = abs(complex(np.vdot(x, y)))
     return _verdict(balance, overlap, tol)
 
 

@@ -27,6 +27,9 @@ CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 # Haar samples drawn and reduced at a time by average_fidelity_mc, which
 # bounds its memory at about 80 MB whatever the sample count.
 MC_CHUNK = 1 << 20
+# Largest sample count average_fidelity_mc accepts: about 3 minutes of draws
+# (1024 chunks at ~0.2 s each); larger requests are refused before any draw.
+MC_MAX_SAMPLES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -219,8 +222,8 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
     is Σ_r P(r)·F(r) = (p·Ā + (1−p)·B̄)² + ((1−p)·Ā + p·B̄)². Only the
     information state is sampled; the sum over outcomes is exact.
     """
-    if samples < 1:
-        raise OutOfRange(f"samples must be ≥ 1, got {samples}")
+    if not 1 <= samples <= MC_MAX_SAMPLES:
+        raise OutOfRange(f"samples must be in 1..{MC_MAX_SAMPLES}, got {samples}")
     form = schmidt_form(resource, bob)
     ca, cb = form.coeff0, form.coeff1
     gen = np.random.default_rng(seed)

@@ -34,7 +34,8 @@ needed only when z = 0 and B > A), and gives a minor branch whose
 coefficient is ≤ DEGENERATE_TOL an exact direction orthogonal to the major
 one. `rotation_candidates` keeps the quadratic with both roots as an oracle,
 and `concurrence_via_density` is an independent route to C through a QR
-factorization of the amplitude matrix.
+factorization of the two-column amplitude matrix, done in closed form with
+two Gram–Schmidt passes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, WrongQubitCount
-from .statevec import PAULI_X, StateVector, check_qubit_index, inner
+from .statevec import PAULI_X, StateVector, check_qubit_index
 
 # Branch weight below this counts as an absent branch; block overlap below it
 # counts as already orthogonal (z = 0 then leaves a residual ≪ 1e-10).
@@ -90,6 +91,10 @@ class SchmidtForm:
     receiver_basis: np.ndarray
 
 
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def _receiver_blocks(sv: StateVector, bob: int) -> np.ndarray:
     """The (2^(n−1), 2) matrix M whose columns are the receiver-|0⟩ and
     receiver-|1⟩ blocks A·|ψ0⟩ and B·|ψ1⟩, the other qubits kept in their
@@ -105,12 +110,12 @@ def split_by_receiver(sv: StateVector, bob: int) -> BipartiteSplit:
     """Split a resource by the receiver's qubit (branch vectors keep the
     remaining qubits in their original relative order)."""
     blocks = _receiver_blocks(sv, bob)
-    w0 = float(np.linalg.norm(blocks[:, 0]))
-    w1 = float(np.linalg.norm(blocks[:, 1]))
+    w0 = _norm(blocks[:, 0])
+    w1 = _norm(blocks[:, 1])
     branch0 = StateVector(sv.n - 1, blocks[:, 0] / w0) if w0 > DEGENERATE_TOL else None
     branch1 = StateVector(sv.n - 1, blocks[:, 1] / w1) if w1 > DEGENERATE_TOL else None
     if branch0 is not None and branch1 is not None:
-        overlap = inner(branch1, branch0)
+        overlap = complex(np.vdot(branch1.amps, branch0.amps))
     else:
         overlap = 0j
     return BipartiteSplit(w0, w1, branch0, branch1, overlap)
@@ -159,10 +164,6 @@ def rotation_matrix(z: complex) -> np.ndarray:
     """Receiver-basis unitary U(z); columns are |0̄⟩ = U|0⟩ and |1̄⟩ = U|1⟩."""
     c = 1.0 / math.sqrt(1.0 + abs(z) ** 2)
     return np.array([[c, -c * z.conjugate()], [c * z, c]], dtype=complex)
-
-
-def _norm(x: np.ndarray) -> float:
-    return math.sqrt(np.vdot(x, x).real)
 
 
 def _orthogonal_filler(present: np.ndarray) -> np.ndarray:
@@ -215,17 +216,28 @@ def concurrence(sv: StateVector, bob: int) -> float:
 def concurrence_via_density(sv: StateVector, bob: int) -> float:
     """Concurrence from the receiver's reduced density matrix, 2·√det ρ.
 
-    Independent of the rotation route; used to cross-check it. With m the
-    (2, 2^(n−1)) amplitude matrix, ρ = m·m† and mᵀ = QR give det ρ =
+    Independent of the rotation route (no z, no eigenvector); used to
+    cross-check it. With m = [x; y] the (2, 2^(n−1)) amplitude matrix of the
+    receiver-|0⟩ and receiver-|1⟩ rows, ρ = m·m† and mᵀ = QR give det ρ =
     |R₀₀·R₁₁|², so ρ is never formed and C → 0 keeps its absolute accuracy
-    instead of taking the square root of a cancelled determinant.
+    instead of taking the square root of a cancelled determinant. The QR of
+    the two columns is done in closed form: R₀₀ = ‖x‖, q = x/R₀₀, and R₁₁ is
+    the norm of y after two Gram–Schmidt passes y ← y − (q†y)·q; the second
+    pass keeps R₁₁ accurate to ~1e-16 absolute as C → 0.
     """
     check_qubit_index(sv.n, bob)
     if sv.n == 1:
         return 0.0
-    m = np.moveaxis(sv.tensor_view(), bob, 0).reshape(2, -1)
-    r = np.linalg.qr(m.T, mode="r")
-    return 2.0 * float(abs(r[0, 0] * r[1, 1]))
+    rows = sv.amps.reshape(1 << bob, 2, -1)
+    x = rows[:, 0].ravel()
+    y = rows[:, 1].ravel()
+    r00 = _norm(x)
+    if r00 == 0.0:
+        return 0.0
+    q = x / r00
+    for _ in range(2):
+        y = y - np.vdot(q, y) * q
+    return 2.0 * r00 * _norm(y)
 
 
 def maf(concurrence: float) -> float:

@@ -50,7 +50,7 @@ class StateVector:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_QUBITS:
             raise TooManyQubits(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
-        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        amps = np.array(self.amps, dtype=complex, order="C").reshape(-1)
         if amps.size != 2**self.n:
             raise DimensionMismatch(
                 f"expected {2 ** self.n} amplitudes for n={self.n}, got {amps.size}"
@@ -134,8 +134,11 @@ def permute_qubits(sv: StateVector, perm) -> StateVector:
         raise InvalidPermutation(f"{perm} is not a permutation of 0..{sv.n - 1}")
     # transpose places input axis axes[k] at output position k, so sending
     # qubit i to position perm[i] needs the inverse permutation as axes
-    permuted = np.transpose(sv.tensor_view(), axes=np.argsort(perm))
-    return StateVector(sv.n, np.ascontiguousarray(permuted).reshape(-1))
+    axes = [0] * sv.n
+    for i, p in enumerate(perm):
+        axes[p] = i
+    # StateVector copies the transposed view into a fresh C-ordered array
+    return StateVector(sv.n, np.transpose(sv.tensor_view(), axes))
 
 
 def move_to_last_perm(n: int, q: int) -> list[int]:

@@ -10,6 +10,7 @@ import pytest
 
 import sqtkit
 from sqtkit import ghz, new_state, random_state
+from sqtkit import protocol
 from sqtkit.cli import load_document, main
 
 SQRT_HALF = math.sqrt(0.5)
@@ -168,6 +169,13 @@ class TestTeleport:
         main(["teleport", w_file, "--samples", "50000", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["estimate"] == pytest.approx(doc["closed_form"], abs=5e-3)
+
+    @pytest.mark.parametrize("samples", [protocol.MC_MAX_SAMPLES + 1, 100_000_000_000])
+    def test_samples_beyond_the_cap_exit_two(self, ghz_file, capsys, samples):
+        assert main(["teleport", ghz_file, "--samples", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(protocol.MC_MAX_SAMPLES) in captured.err
 
     def test_unnormalized_info_exit_two(self, ghz_file):
         assert main(["teleport", ghz_file, "--info", "1,0,1,0"]) == 2

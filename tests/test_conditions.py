@@ -7,6 +7,7 @@ from sqtkit import (
     ConstraintViolated,
     NotNormalized,
     WrongQubitCount,
+    acin_alternative,
     acin_canonical,
     average_fidelity_mc,
     basis_state,
@@ -18,6 +19,8 @@ from sqtkit import (
     ghz,
     new_state,
     random_state,
+    schmidt_branch_family,
+    separable_branch_family,
     w_general,
     zha_counterexample,
 )
@@ -96,6 +99,44 @@ class TestCheck3Qubit:
             sv = random_state(3, rng)
             bob = int(rng.integers(3))
             assert check_general(sv, bob, 1e-9).verdict == check_3qubit(sv, bob, 1e-9).verdict
+
+
+# Members of every family at n = 3, perfect and imperfect ones
+FAMILY_MEMBERS = {
+    "ghz": ghz(3),
+    "w-standard": w_general(*[1 / math.sqrt(3)] * 3),
+    "w-perfect": w_general(0.5, 0.5, SQRT_HALF),
+    "w-phased": w_general(0.6j, 0.0, 0.8),
+    "separable": separable_branch_family(0.3, 0.4),
+    "schmidt": schmidt_branch_family(0.6, 0.3, 0.7, 0.5),
+    "acin-form-a": acin_canonical(0.5, 0.0, 0.3, 0.4, SQRT_HALF),
+    "acin-generic": acin_canonical(0.4, 0.3, 0.5, 0.5, 0.5, theta=0.9),
+    "acinalt-perfect": acin_alternative(SQRT_HALF, 0.0, SQRT_HALF, 0.0, 0.0),
+    "acinalt-generic": acin_alternative(0.5, 0.3, 0.4, 0.5, 0.5, theta=1.1),
+    "counterexample": zha_counterexample(0.4, 0.3, 0.1, 0.2, 0.3),
+    "uniform": new_state(3, np.full(8, 1 / math.sqrt(8))),
+    "product": basis_state(3, 0b010),
+    **{f"haar-{seed}": random_state(3, seed) for seed in range(4)},
+}
+
+
+def _old_3qubit_residuals(sv, bob):
+    """The residuals as first written: |Σ(|x|² − |y|²)| and |⟨x|y⟩| over the
+    receiver-|0⟩ and receiver-|1⟩ amplitudes, read through moveaxis."""
+    blocks = np.moveaxis(sv.tensor_view(), bob, -1).reshape(4, 2)
+    balance = abs(float(np.sum(np.abs(blocks[:, 0]) ** 2 - np.abs(blocks[:, 1]) ** 2)))
+    return balance, abs(complex(np.vdot(blocks[:, 0], blocks[:, 1])))
+
+
+@pytest.mark.parametrize("bob", [0, 1, 2])
+@pytest.mark.parametrize("sv", FAMILY_MEMBERS.values(), ids=FAMILY_MEMBERS.keys())
+def test_3qubit_residuals_and_verdicts_across_families(sv, bob):
+    verdict = check_3qubit(sv, bob)
+    balance, overlap = _old_3qubit_residuals(sv, bob)
+    assert abs(verdict.residual_balance - balance) <= 1e-15
+    assert abs(verdict.residual_overlap - overlap) <= 1e-15
+    assert type(verdict.residual_balance) is float and type(verdict.residual_overlap) is float
+    assert verdict.verdict == check_general(sv, bob).verdict
 
 
 class TestClassifyZha:

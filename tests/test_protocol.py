@@ -329,6 +329,15 @@ class TestAverageFidelityMc:
         with pytest.raises(OutOfRange):
             average_fidelity_mc(ghz(3), 2, 0, 0)
 
+    @pytest.mark.parametrize("samples", [protocol.MC_MAX_SAMPLES + 1, 100_000_000_000])
+    def test_refuses_counts_beyond_the_cap_before_drawing(self, monkeypatch, samples):
+        def no_draws(*args):
+            raise AssertionError("drew samples for a refused count")
+
+        monkeypatch.setattr(protocol, "haar_info_samples", no_draws)
+        with pytest.raises(OutOfRange, match=str(protocol.MC_MAX_SAMPLES)):
+            average_fidelity_mc(ghz(3), 2, samples, 0)
+
 
 def _summed_fidelities(pairs, form):
     pa = np.abs(pairs[:, 0]) ** 2

@@ -297,6 +297,7 @@ class TestConcurrence:
 
     def test_density_route_single_qubit(self):
         assert concurrence_via_density(new_state(1, [0.6, 0.8j]), 0) == 0.0
+        assert concurrence_via_density(basis_state(1, 1), 0) == 0.0
 
     def test_density_route_agrees_with_brute_force(self, small_corpus):
         for sv in small_corpus[:30]:
@@ -324,6 +325,46 @@ class TestConcurrence:
         assert concurrence(sv, 2) == pytest.approx(0.0, abs=1e-10)
         form = schmidt_form(sv, 2)
         assert abs(inner(form.branch1, form.branch0)) < 1e-10
+
+
+def qr_concurrence(sv, bob):
+    """2·|R₀₀·R₁₁| from numpy's QR of the two-column amplitude matrix mᵀ."""
+    m = np.moveaxis(sv.tensor_view(), bob, 0).reshape(2, -1)
+    r = np.linalg.qr(m.T, mode="r")
+    return 2.0 * float(abs(r[0, 0] * r[1, 1]))
+
+
+def receiver_at(sv, bob):
+    """`sv` with its last qubit moved to position `bob`."""
+    return permute_qubits(sv, np.argsort(move_to_last_perm(sv.n, bob)))
+
+
+class TestDensityOracleMatchesNumpyQr:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_haar_states_every_receiver(self, n):
+        rng = np.random.default_rng(100 + n)
+        for sv in (random_state(n, rng) for _ in range(3)):
+            for bob in range(n):
+                assert abs(concurrence_via_density(sv, bob) - qr_concurrence(sv, bob)) < 1e-14
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-15])
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_near_product_cuts(self, n, eps):
+        for bob in {0, n // 2, n - 1}:
+            sv = receiver_at(near_product(n, eps, 7), bob)
+            assert abs(concurrence_via_density(sv, bob) - qr_concurrence(sv, bob)) < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_exact_products(self, n):
+        rng = np.random.default_rng(n)
+        for bob in range(n):
+            receiver = random_state(1, rng).amps
+            rest = random_state(n - 1, rng).amps
+            sv = receiver_at(StateVector(n, np.kron(rest, receiver)), bob)
+            assert concurrence_via_density(sv, bob) < 1e-14
+            assert qr_concurrence(sv, bob) < 1e-14
+        for sv, bob in ((basis_state(n, 0), 0), (basis_state(n, 2**n - 1), n - 1)):
+            assert concurrence_via_density(sv, bob) == 0.0
 
 
 class TestMaf:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -179,6 +180,17 @@ class TestPermuteQubits:
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidPermutation):
             permute_qubits(ghz3(), [0, 0, 2])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_argsort_transpose_for_every_permutation(self, n):
+        rng = np.random.default_rng(n)
+        amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        sv = StateVector(n, amps / np.linalg.norm(amps))
+        for perm in itertools.permutations(range(n)):
+            out = permute_qubits(sv, perm)
+            expected = np.transpose(sv.tensor_view(), np.argsort(perm)).reshape(-1)
+            np.testing.assert_array_equal(out.amps, expected)
+            assert out.amps.flags.c_contiguous and not out.amps.flags.writeable
 
 
 class TestReducedDensity:
