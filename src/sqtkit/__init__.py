@@ -20,7 +20,6 @@ from .errors import (
     InvalidDocument,
     InvalidPermutation,
     NotNormalized,
-    NotUnitary,
     OutOfRange,
     SqtError,
     TooManyQubits,
@@ -40,7 +39,6 @@ from .protocol import (
     CORRECTION_LABELS,
     InfoQubit,
     McEstimate,
-    MeasurementBasis,
     OutcomeRecord,
     TeleportResult,
     average_fidelity_mc,
@@ -60,24 +58,17 @@ from .schmidt import (
     rotation_candidates,
     rotation_matrix,
     schmidt_form,
-    solve_rotation,
     split_by_receiver,
 )
 from .statevec import (
-    IDENTITY2,
     MAX_QUBITS,
     PAULI_X,
     PAULI_Z,
     StateVector,
-    allclose_up_to_phase,
-    apply_one_qubit,
     basis_state,
-    inner,
     move_to_last_perm,
     new_state,
     permute_qubits,
-    reduced_density_one,
-    tensor,
 )
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ def check_general(resource: StateVector, bob: int, tol: float = 1e-9) -> Perfect
 def check_3qubit(resource: StateVector, bob: int, tol: float = 1e-9) -> PerfectVerdict:
     """Three-qubit amplitude form of the perfect-teleportation conditions.
 
-    The overlap residual here is the raw (unnormalized) block inner product,
+    The overlap residual here is the raw (unnormalized) overlap of the blocks,
     conjugating the receiver-|0⟩ block; its zero set matches the general
     checker's, so the verdicts agree.
     """

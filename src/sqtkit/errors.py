@@ -17,10 +17,6 @@ class IndexOutOfRange(SqtError):
     """Qubit index outside 0..n-1."""
 
 
-class NotUnitary(SqtError):
-    """A 2x2 operator expected to be unitary is not."""
-
-
 class InvalidPermutation(SqtError):
     """Sequence is not a permutation of 0..n-1."""
 

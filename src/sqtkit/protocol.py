@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NotNormalized, OutOfRange
 from .families import SQRT_HALF
 from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
-from .statevec import PAULI_X, PAULI_Z, StateVector
+from .statevec import PAULI_X, PAULI_Z, StateVector, is_int
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 # Haar samples drawn and reduced at a time by average_fidelity_mc, which
@@ -47,16 +47,6 @@ class InfoQubit:
         norm = math.sqrt(norm_sq)
         object.__setattr__(self, "amp0", amp0 / norm)
         object.__setattr__(self, "amp1", amp1 / norm)
-
-    def as_state(self) -> StateVector:
-        return StateVector(1, np.array([self.amp0, self.amp1]))
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Four orthonormal sender states over (information qubit, n−1 resource qubits)."""
-
-    states: tuple[StateVector, StateVector, StateVector, StateVector]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,18 +78,18 @@ class McEstimate:
     samples: int
 
 
-def measurement_basis(form: SchmidtForm) -> MeasurementBasis:
-    """Sender measurement basis built from the Schmidt branches:
+def measurement_basis(form: SchmidtForm) -> tuple[StateVector, ...]:
+    """The four orthonormal sender states over (information qubit, n−1
+    resource qubits), built from the Schmidt branches:
     Ψ(0,1) = (|0⟩|branch0⟩ ± |1⟩|branch1⟩)/√2 and
     Ψ(2,3) = (|0⟩|branch1⟩ ± |1⟩|branch0⟩)/√2."""
     b0 = form.branch0.amps
     b1 = form.branch1.amps
     n = form.branch0.n + 1
-    states = tuple(
+    return tuple(
         StateVector(n, SQRT_HALF * np.concatenate([top, bottom]))
         for top, bottom in ((b0, b1), (b0, -b1), (b1, b0), (b1, -b0))
     )
-    return MeasurementBasis(states)
 
 
 def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
@@ -201,8 +191,8 @@ def haar_info_samples(count: int, rng=None) -> np.ndarray:
     Two independent complex Gaussians per row, normalized; this is the same
     sampler :func:`haar_random_info` and :func:`average_fidelity_mc` use.
     """
-    if count < 1:
-        raise OutOfRange(f"count must be ≥ 1, got {count}")
+    if not (is_int(count) and count >= 1):
+        raise OutOfRange(f"count must be an integer ≥ 1, got {count!r}")
     gen = np.random.default_rng(rng)
     raw = gen.standard_normal((count, 2)) + 1j * gen.standard_normal((count, 2))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -222,8 +212,8 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
     is Σ_r P(r)·F(r) = (p·Ā + (1−p)·B̄)² + ((1−p)·Ā + p·B̄)². Only the
     information state is sampled; the sum over outcomes is exact.
     """
-    if not 1 <= samples <= MC_MAX_SAMPLES:
-        raise OutOfRange(f"samples must be in 1..{MC_MAX_SAMPLES}, got {samples}")
+    if not (is_int(samples) and 1 <= samples <= MC_MAX_SAMPLES):
+        raise OutOfRange(f"samples must be an integer in 1..{MC_MAX_SAMPLES}, got {samples!r}")
     form = schmidt_form(resource, bob)
     ca, cb = form.coeff0, form.coeff1
     gen = np.random.default_rng(seed)

@@ -28,11 +28,12 @@ of teleporting one qubit over the resource is (2 + C)/3.
 The engine takes the root whose |0̄⟩ ∝ (1, z) is the top eigenvector of the
 receiver's reduced density ρ = [[A², g], [g*, B²]], g = A·B·K; that is the
 root with Ā ≥ B̄, the two roots' Ā² differing by the discriminant's square
-root. It reads the receiver blocks M = [A·ψ0, B·ψ1] once, forms the rotated
-branches M₀ + z*·M₁ and M₁ − z·M₀, puts the heavier one first (a basis swap,
-needed only when z = 0 and B > A), and gives a minor branch whose
-coefficient is ≤ DEGENERATE_TOL an exact direction orthogonal to the major
-one. `rotation_candidates` keeps the quadratic with both roots as an oracle,
+root. It reads the receiver blocks M = [A·ψ0, B·ψ1] once, takes A, B and g
+from the one product M†M (split_by_receiver reads its weights and
+K = g/(A·B) from the same product), forms the rotated branches M₀ + z*·M₁
+and M₁ − z·M₀, puts the heavier one first (a basis swap, needed only when
+z = 0 and B > A), and gives a minor branch whose coefficient is
+≤ DEGENERATE_TOL an exact direction orthogonal to the major one. `rotation_candidates` keeps the quadratic with both roots as an oracle,
 and `concurrence_via_density` is an independent route to C through a QR
 factorization of the two-column amplitude matrix, done in closed form with
 two Gram–Schmidt passes.
@@ -106,18 +107,21 @@ def _receiver_blocks(sv: StateVector, bob: int) -> np.ndarray:
     return sv.amps.reshape(1 << bob, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
 
 
+def _gram(blocks: np.ndarray) -> tuple[float, float, complex]:
+    """Weights A, B and g = A·B·K of the split, all read from the one product
+    M†M = [[A², g*], [g, B²]] of the receiver blocks."""
+    (a2, _), (g, b2) = (blocks.conj().T @ blocks).tolist()
+    return math.sqrt(a2.real), math.sqrt(b2.real), g
+
+
 def split_by_receiver(sv: StateVector, bob: int) -> BipartiteSplit:
     """Split a resource by the receiver's qubit (branch vectors keep the
     remaining qubits in their original relative order)."""
     blocks = _receiver_blocks(sv, bob)
-    w0 = _norm(blocks[:, 0])
-    w1 = _norm(blocks[:, 1])
+    w0, w1, g = _gram(blocks)
     branch0 = StateVector(sv.n - 1, blocks[:, 0] / w0) if w0 > DEGENERATE_TOL else None
     branch1 = StateVector(sv.n - 1, blocks[:, 1] / w1) if w1 > DEGENERATE_TOL else None
-    if branch0 is not None and branch1 is not None:
-        overlap = complex(np.vdot(branch1.amps, branch0.amps))
-    else:
-        overlap = 0j
+    overlap = g / (w0 * w1) if branch0 is not None and branch1 is not None else 0j
     return BipartiteSplit(w0, w1, branch0, branch1, overlap)
 
 
@@ -154,12 +158,6 @@ def _top_root(w0: float, w1: float, g: complex) -> complex:
     return complex(2.0 * g.conjugate() / (disc + m) if m >= 0.0 else (disc - m) / (2.0 * g))
 
 
-def solve_rotation(split: BipartiteSplit) -> complex:
-    """The rotation that orthogonalizes the branches with Ā ≥ B̄: the root of
-    the quadratic whose |0̄⟩ is the top eigenvector of the receiver's ρ."""
-    return _top_root(split.weight0, split.weight1, split.weight0 * split.weight1 * split.overlap)
-
-
 def rotation_matrix(z: complex) -> np.ndarray:
     """Receiver-basis unitary U(z); columns are |0̄⟩ = U|0⟩ and |1̄⟩ = U|1⟩."""
     c = 1.0 / math.sqrt(1.0 + abs(z) ** 2)
@@ -181,9 +179,7 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     receiver back at its original position, reproduces the input state.
     """
     blocks = _receiver_blocks(sv, bob)
-    # M†M = [[A², g*], [g, B²]]: both weights and g = A·B·K from one product
-    (a2, _), (g, b2) = (blocks.conj().T @ blocks).tolist()
-    z = _top_root(math.sqrt(a2.real), math.sqrt(b2.real), g)
+    z = _top_root(*_gram(blocks))
     scale = math.sqrt(1.0 + abs(z) ** 2)
     raw0 = blocks[:, 0] + z.conjugate() * blocks[:, 1]
     raw1 = blocks[:, 1] - z * blocks[:, 0]

@@ -1,4 +1,5 @@
-"""Dense pure states of up to 12 qubits and the primitives built on them.
+"""Dense pure states of up to 12 qubits: validation, basis kets and qubit
+permutations.
 
 Bit ordering: qubit 0 is the most significant bit of the amplitude index, so
 for n = 3 the amplitude at index 0b011 belongs to |011⟩ (qubit 0 in state 0,
@@ -20,18 +21,15 @@ from .errors import (
     IndexOutOfRange,
     InvalidPermutation,
     NotNormalized,
-    NotUnitary,
     TooManyQubits,
 )
 
 MAX_QUBITS = 12
 NORM_TOL = 1e-9
-UNITARY_TOL = 1e-12
 
-IDENTITY2 = np.array([[1, 0], [0, 1]], dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-for _m in (IDENTITY2, PAULI_X, PAULI_Z):
+for _m in (PAULI_X, PAULI_Z):
     _m.flags.writeable = False
 
 
@@ -39,9 +37,9 @@ for _m in (IDENTITY2, PAULI_X, PAULI_Z):
 class StateVector:
     """Amplitude vector over 2**n basis states.
 
-    Build through :func:`new_state`, which checks and renormalizes; the bare
-    constructor only checks the shape and is meant for internal use on data
-    that is already unit-norm.
+    Build through :func:`new_state`, which checks and renormalizes. The bare
+    constructor only checks the qubit count and the shape; the package and
+    callers outside it use it to wrap amplitudes that are already unit-norm.
     """
 
     n: int
@@ -57,10 +55,6 @@ class StateVector:
             )
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
 
     def norm(self) -> float:
         # vdot raises no numpy overflow warning: huge amplitudes give inf
@@ -93,34 +87,14 @@ def basis_state(n: int, index: int) -> StateVector:
     return StateVector(n, amps)
 
 
+def is_int(x) -> bool:
+    """True for Python and numpy integers; False for bool and anything else."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_qubit_index(n: int, q: int) -> None:
     if not 0 <= q < n:
         raise IndexOutOfRange(f"qubit {q} outside 0..{n - 1}")
-
-
-def inner(x: StateVector, y: StateVector) -> complex:
-    """⟨x|y⟩ with x conjugated."""
-    if x.n != y.n:
-        raise DimensionMismatch(f"qubit counts differ: {x.n} vs {y.n}")
-    return complex(np.vdot(x.amps, y.amps))
-
-
-def is_unitary(op: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        return False
-    return bool(np.max(np.abs(op.conj().T @ op - IDENTITY2)) <= tol)
-
-
-def apply_one_qubit(sv: StateVector, q: int, op: np.ndarray) -> StateVector:
-    """Apply a unitary 2×2 operator to qubit q, leaving the others untouched."""
-    check_qubit_index(sv.n, q)
-    op = np.asarray(op, dtype=complex)
-    if not is_unitary(op):
-        raise NotUnitary("operator is not a unitary 2x2 matrix within 1e-12")
-    psi = np.moveaxis(sv.tensor_view(), q, -1)
-    out = psi @ op.T
-    return StateVector(sv.n, np.moveaxis(out, -1, q).reshape(-1))
 
 
 def permute_qubits(sv: StateVector, perm) -> StateVector:
@@ -129,8 +103,8 @@ def permute_qubits(sv: StateVector, perm) -> StateVector:
     Pure amplitude shuffling: composing with the inverse permutation restores
     the original array bit for bit.
     """
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(sv.n)):
+    perm = list(perm)
+    if not all(map(is_int, perm)) or sorted(perm) != list(range(sv.n)):
         raise InvalidPermutation(f"{perm} is not a permutation of 0..{sv.n - 1}")
     # transpose places input axis axes[k] at output position k, so sending
     # qubit i to position perm[i] needs the inverse permutation as axes
@@ -145,28 +119,3 @@ def move_to_last_perm(n: int, q: int) -> list[int]:
     """Permutation sending qubit q to position n − 1, keeping relative order."""
     check_qubit_index(n, q)
     return [n - 1 if i == q else (i - 1 if i > q else i) for i in range(n)]
-
-
-def reduced_density_one(sv: StateVector, q: int) -> np.ndarray:
-    """Single-qubit reduced density matrix: trace out every qubit except q.
-
-    Returns a 2×2 Hermitian unit-trace complex matrix.
-    """
-    check_qubit_index(sv.n, q)
-    m = np.moveaxis(sv.tensor_view(), q, 0).reshape(2, -1)
-    rho = m @ m.conj().T
-    return (rho + rho.conj().T) / 2.0
-
-
-def tensor(x: StateVector, y: StateVector) -> StateVector:
-    """Product state with x occupying the more-significant qubit positions."""
-    if x.n + y.n > MAX_QUBITS:
-        raise TooManyQubits(f"{x.n} + {y.n} qubits exceeds the {MAX_QUBITS}-qubit cap")
-    return StateVector(x.n + y.n, np.kron(x.amps, y.amps))
-
-
-def allclose_up_to_phase(x: StateVector, y: StateVector, tol: float = 1e-10) -> bool:
-    """True when two unit states differ only by a global phase (within tol)."""
-    if x.n != y.n:
-        return False
-    return bool(abs(abs(np.vdot(x.amps, y.amps)) - 1.0) <= tol)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import FAMILY_MEMBERS
 from sqtkit import (
     ConstraintViolated,
     NotNormalized,
     WrongQubitCount,
-    acin_alternative,
     acin_canonical,
     average_fidelity_mc,
     basis_state,
@@ -19,8 +19,6 @@ from sqtkit import (
     ghz,
     new_state,
     random_state,
-    schmidt_branch_family,
-    separable_branch_family,
     w_general,
     zha_counterexample,
 )
@@ -99,25 +97,6 @@ class TestCheck3Qubit:
             sv = random_state(3, rng)
             bob = int(rng.integers(3))
             assert check_general(sv, bob, 1e-9).verdict == check_3qubit(sv, bob, 1e-9).verdict
-
-
-# Members of every family at n = 3, perfect and imperfect ones
-FAMILY_MEMBERS = {
-    "ghz": ghz(3),
-    "w-standard": w_general(*[1 / math.sqrt(3)] * 3),
-    "w-perfect": w_general(0.5, 0.5, SQRT_HALF),
-    "w-phased": w_general(0.6j, 0.0, 0.8),
-    "separable": separable_branch_family(0.3, 0.4),
-    "schmidt": schmidt_branch_family(0.6, 0.3, 0.7, 0.5),
-    "acin-form-a": acin_canonical(0.5, 0.0, 0.3, 0.4, SQRT_HALF),
-    "acin-generic": acin_canonical(0.4, 0.3, 0.5, 0.5, 0.5, theta=0.9),
-    "acinalt-perfect": acin_alternative(SQRT_HALF, 0.0, SQRT_HALF, 0.0, 0.0),
-    "acinalt-generic": acin_alternative(0.5, 0.3, 0.4, 0.5, 0.5, theta=1.1),
-    "counterexample": zha_counterexample(0.4, 0.3, 0.1, 0.2, 0.3),
-    "uniform": new_state(3, np.full(8, 1 / math.sqrt(8))),
-    "product": basis_state(3, 0b010),
-    **{f"haar-{seed}": random_state(3, seed) for seed in range(4)},
-}
 
 
 def _old_3qubit_residuals(sv, bob):

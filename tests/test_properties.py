@@ -7,9 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import apply_one_qubit
 from sqtkit import (
     StateVector,
-    apply_one_qubit,
     concurrence,
     concurrence_via_density,
     permute_qubits,

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import apply_one_qubit
 from sqtkit import protocol
 from sqtkit import (
     CORRECTION_LABELS,
     InfoQubit,
     NotNormalized,
     OutOfRange,
-    apply_one_qubit,
     average_fidelity_mc,
     basis_state,
     concurrence_via_density,
@@ -18,7 +18,6 @@ from sqtkit import (
     ghz,
     haar_info_samples,
     haar_random_info,
-    inner,
     maf,
     measurement_basis,
     move_to_last_perm,
@@ -28,7 +27,6 @@ from sqtkit import (
     random_state,
     run_teleport,
     schmidt_form,
-    tensor,
     w_general,
 )
 
@@ -43,7 +41,7 @@ def standard_w():
 class TestInfoQubit:
     def test_accepts_normalized(self):
         q = InfoQubit(0.6, 0.8j)
-        np.testing.assert_allclose(q.as_state().amps, [0.6, 0.8j])
+        np.testing.assert_allclose([q.amp0, q.amp1], [0.6, 0.8j])
 
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
@@ -57,7 +55,7 @@ class TestInfoQubit:
 class TestMeasurementBasis:
     def test_two_qubit_resource_gives_bell_basis(self):
         form = schmidt_form(ghz(2), 1)
-        states = measurement_basis(form).states
+        states = measurement_basis(form)
         bell = np.array(
             [
                 [SQRT_HALF, 0, 0, SQRT_HALF],
@@ -71,7 +69,7 @@ class TestMeasurementBasis:
 
     def test_ghz_first_element(self):
         form = schmidt_form(ghz(3), 2)
-        psi0 = measurement_basis(form).states[0]
+        psi0 = measurement_basis(form)[0]
         expected = np.zeros(8, dtype=complex)
         expected[0b000] = SQRT_HALF
         expected[0b111] = SQRT_HALF
@@ -79,9 +77,9 @@ class TestMeasurementBasis:
 
     def test_gram_matrix_is_identity(self, small_corpus):
         for sv in list(small_corpus[:20]) + [standard_w(), basis_state(3, 0)]:
-            states = measurement_basis(schmidt_form(sv, sv.n - 1)).states
+            states = measurement_basis(schmidt_form(sv, sv.n - 1))
             gram = np.array(
-                [[inner(x, y) for y in states] for x in states]
+                [[np.vdot(x.amps, y.amps) for y in states] for x in states]
             )
             np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
@@ -97,10 +95,10 @@ class TestMeasurementBasisDrivesTheRun:
         for sv, bob in cases:
             info = haar_random_info(rng)
             rest_then_bob = permute_qubits(sv, move_to_last_perm(sv.n, bob))
-            joint = tensor(info.as_state(), rest_then_bob).amps.reshape(-1, 2)
+            joint = np.kron([info.amp0, info.amp1], rest_then_bob.amps).reshape(-1, 2)
             weights = [
                 float(np.linalg.norm(state.amps.conj() @ joint) ** 2)
-                for state in measurement_basis(schmidt_form(sv, bob)).states
+                for state in measurement_basis(schmidt_form(sv, bob))
             ]
             assert sum(weights) == pytest.approx(1.0, abs=1e-12)
             unseen = {r for r, w in enumerate(weights) if w > 1e-2}
@@ -169,7 +167,7 @@ class TestOutcomeTable:
                 corrected = apply_one_qubit(
                     rec.bob_state, 0, correction_matrix(rec.outcome, form.receiver_basis)
                 )
-                explicit = abs(inner(info.as_state(), corrected)) ** 2
+                explicit = abs(np.vdot([info.amp0, info.amp1], corrected.amps)) ** 2
                 assert rec.fidelity == pytest.approx(explicit, abs=1e-12)
 
     def test_zero_probability_outcome_convention(self):
@@ -275,6 +273,11 @@ class TestHaarSampling:
         with pytest.raises(OutOfRange):
             haar_info_samples(0)
 
+    @pytest.mark.parametrize("count", [2.5, 1e3, True])
+    def test_rejects_non_integer_count(self, count):
+        with pytest.raises(OutOfRange, match="integer"):
+            haar_info_samples(count)
+
 
 class TestAverageFidelityMc:
     def test_ghz_is_exact(self):
@@ -331,12 +334,22 @@ class TestAverageFidelityMc:
 
     @pytest.mark.parametrize("samples", [protocol.MC_MAX_SAMPLES + 1, 100_000_000_000])
     def test_refuses_counts_beyond_the_cap_before_drawing(self, monkeypatch, samples):
-        def no_draws(*args):
-            raise AssertionError("drew samples for a refused count")
-
-        monkeypatch.setattr(protocol, "haar_info_samples", no_draws)
+        monkeypatch.setattr(protocol, "haar_info_samples", _no_draws)
         with pytest.raises(OutOfRange, match=str(protocol.MC_MAX_SAMPLES)):
             average_fidelity_mc(ghz(3), 2, samples, 0)
+
+    @pytest.mark.parametrize("samples", [2.5, 1e3, True, np.float64(10.0)])
+    def test_refuses_non_integer_counts_before_drawing(self, monkeypatch, samples):
+        monkeypatch.setattr(protocol, "haar_info_samples", _no_draws)
+        with pytest.raises(OutOfRange, match="integer"):
+            average_fidelity_mc(ghz(3), 2, samples, 0)
+
+    def test_accepts_numpy_integer_count(self):
+        assert average_fidelity_mc(ghz(3), 2, np.int64(100), 0).samples == 100
+
+
+def _no_draws(*args):
+    raise AssertionError("drew samples for a refused count")
 
 
 def _summed_fidelities(pairs, form):

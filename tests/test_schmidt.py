@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_concurrence, reconstruct_form, reconstruct_split
+from helpers import FAMILY_MEMBERS, brute_force_concurrence, reconstruct_form, reconstruct_split
 from sqtkit import (
     IndexOutOfRange,
     OutOfRange,
     StateVector,
     WrongQubitCount,
     basis_state,
+    check_general,
     concurrence,
     concurrence_via_density,
     ghz,
-    inner,
     maf,
     move_to_last_perm,
     new_state,
@@ -22,11 +22,10 @@ from sqtkit import (
     rotation_candidates,
     rotation_matrix,
     schmidt_form,
-    solve_rotation,
     split_by_receiver,
     w_general,
 )
-from sqtkit.schmidt import DEGENERATE_TOL, OVERLAP_TOL, BipartiteSplit
+from sqtkit.schmidt import DEGENERATE_TOL, OVERLAP_TOL
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -104,27 +103,57 @@ class TestSplit:
             split_by_receiver(basis_state(1, 0), 0)
 
 
-def _split(w0, w1, b0, b1):
-    overlap = inner(b1, b0) if (b0 is not None and b1 is not None) else 0j
-    return BipartiteSplit(w0, w1, b0, b1, overlap)
+def assert_split_matches_explicit_reads(sv, bob):
+    """split_by_receiver reads A, B and g = A·B·K from one M†M; its values
+    and check_general's verdict match the per-column norms and the vdot of
+    the normalized branches."""
+    split = split_by_receiver(sv, bob)
+    blocks = np.moveaxis(sv.tensor_view(), bob, -1).reshape(-1, 2)
+    w0, w1 = float(np.linalg.norm(blocks[:, 0])), float(np.linalg.norm(blocks[:, 1]))
+    assert abs(split.weight0 - w0) <= 1e-15 and abs(split.weight1 - w1) <= 1e-15
+    both = w0 > DEGENERATE_TOL and w1 > DEGENERATE_TOL
+    overlap = np.vdot(blocks[:, 1] / w1, blocks[:, 0] / w0) if both else 0j
+    assert abs(split.overlap - overlap) <= 1e-15
+    verdict = abs(w0**2 - w1**2) < 1e-9 and abs(overlap) < 1e-9
+    assert check_general(sv, bob).verdict == verdict
+
+
+class TestGramReadSplit:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_haar_states_every_receiver(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(3):
+            sv = random_state(n, rng)
+            for bob in range(n):
+                assert_split_matches_explicit_reads(sv, bob)
+
+    @pytest.mark.parametrize("bob", [0, 1, 2])
+    @pytest.mark.parametrize("sv", FAMILY_MEMBERS.values(), ids=FAMILY_MEMBERS.keys())
+    def test_family_members(self, sv, bob):
+        assert_split_matches_explicit_reads(sv, bob)
 
 
 class TestSolveRotation:
+    """The rotation z that schmidt_form takes, against both roots of the
+    quadratic from rotation_candidates."""
+
     def test_orthogonal_branches_need_no_rotation(self):
-        split = _split(0.8, 0.6, basis_state(2, 0), basis_state(2, 3))
-        assert solve_rotation(split) == 0
+        sv = new_state(3, [0.8, 0, 0, 0, 0, 0, 0, 0.6])
+        assert schmidt_form(sv, 2).z == 0
+        assert rotation_candidates(split_by_receiver(sv, 2)) == (0, 0)
 
     def test_degenerate_branch(self):
-        split = _split(1.0, 0.0, basis_state(2, 0), None)
-        assert solve_rotation(split) == 0
+        sv = basis_state(3, 0)
+        assert schmidt_form(sv, 2).z == 0
+        assert rotation_candidates(split_by_receiver(sv, 2)) == (0, 0)
 
     def test_tie_break_selects_plus_one(self):
         # A = B = 1/√2, ψ0 = |00⟩, ψ1 = (|00⟩+|01⟩)/√2 gives z² = 1 and the
         # ordering preference picks +1
-        b0 = basis_state(2, 0)
-        b1 = new_state(2, [SQRT_HALF, SQRT_HALF, 0, 0])
-        split = _split(SQRT_HALF, SQRT_HALF, b0, b1)
-        assert solve_rotation(split) == pytest.approx(1.0, abs=1e-12)
+        sv = new_state(3, [SQRT_HALF, 0.5, 0, 0.5, 0, 0, 0, 0])
+        assert schmidt_form(sv, 2).z == pytest.approx(1.0, abs=1e-12)
+        roots = sorted(rotation_candidates(split_by_receiver(sv, 2)), key=lambda z: z.real)
+        assert roots == pytest.approx([-1.0, 1.0], abs=1e-12)
 
     def test_both_candidates_orthogonalize(self, small_corpus):
         for sv in small_corpus[:40]:
@@ -179,7 +208,7 @@ class TestSchmidtForm:
         assert form.coeff0 == pytest.approx(1.0)
         assert form.coeff1 == 0.0
         assert form.concurrence == 0.0
-        assert abs(inner(form.branch1, form.branch0)) < 1e-12
+        assert abs(np.vdot(form.branch1.amps, form.branch0.amps)) < 1e-12
 
     def test_derived_nonorthogonal_case(self):
         # (1/√2)|00⟩|0⟩ + (1/√2)·((|00⟩+|01⟩)/√2)|1⟩
@@ -206,7 +235,7 @@ class TestSchmidtForm:
         for sv in small_corpus:
             for bob in range(sv.n):
                 form = schmidt_form(sv, bob)
-                assert abs(inner(form.branch1, form.branch0)) < 1e-10
+                assert abs(np.vdot(form.branch1.amps, form.branch0.amps)) < 1e-10
                 assert abs(form.coeff0**2 + form.coeff1**2 - 1.0) < 1e-10
                 assert form.coeff0 >= form.coeff1 >= 0
                 np.testing.assert_allclose(
@@ -258,7 +287,7 @@ ENGINE_EDGES = {
 @pytest.mark.parametrize("sv,bob", ENGINE_EDGES.values(), ids=ENGINE_EDGES.keys())
 def test_engine_edges(sv, bob):
     form = schmidt_form(sv, bob)
-    assert abs(inner(form.branch1, form.branch0)) < 1e-10
+    assert abs(np.vdot(form.branch1.amps, form.branch0.amps)) < 1e-10
     assert abs(form.branch0.norm() - 1.0) < 1e-10
     assert abs(form.branch1.norm() - 1.0) < 1e-10
     assert abs(form.coeff0**2 + form.coeff1**2 - 1.0) < 1e-10
@@ -324,7 +353,7 @@ class TestConcurrence:
         sv = new_state(3, np.kron([SQRT_HALF, 0, SQRT_HALF, 0], [0.6, 0.8]))
         assert concurrence(sv, 2) == pytest.approx(0.0, abs=1e-10)
         form = schmidt_form(sv, 2)
-        assert abs(inner(form.branch1, form.branch0)) < 1e-10
+        assert abs(np.vdot(form.branch1.amps, form.branch0.amps)) < 1e-10
 
 
 def qr_concurrence(sv, bob):
