@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolated, NotNormalized, WrongQubitCount
+from .errors import ConstraintViolated, NotNormalized, OutOfRange, WrongQubitCount
 from .families import SQRT_HALF, acin_alternative
 from .schmidt import split_by_receiver
 from .statevec import StateVector, check_qubit_index, move_to_last_perm, permute_qubits
@@ -31,6 +31,11 @@ class PerfectVerdict:
     verdict: bool
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise OutOfRange(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def _verdict(balance: float, overlap: float, tol: float) -> PerfectVerdict:
     return PerfectVerdict(balance, overlap, tol, bool(balance < tol and overlap < tol))
 
@@ -42,6 +47,7 @@ def check_general(resource: StateVector, bob: int, tol: float = 1e-9) -> Perfect
     receiver split; the verdict is true iff both fall below the tolerance,
     which happens exactly when the concurrence is 1.
     """
+    _check_tol(tol)
     split = split_by_receiver(resource, bob)
     balance = abs(split.weight0**2 - split.weight1**2)
     overlap = abs(split.overlap)
@@ -55,6 +61,7 @@ def check_3qubit(resource: StateVector, bob: int, tol: float = 1e-9) -> PerfectV
     conjugating the receiver-|0⟩ block; its zero set matches the general
     checker's, so the verdicts agree.
     """
+    _check_tol(tol)
     if resource.n != 3:
         raise WrongQubitCount(f"need exactly 3 qubits, got {resource.n}")
     check_qubit_index(3, bob)
@@ -93,6 +100,7 @@ def classify_zha(kappas, theta: float = 0.0, tol: float = 1e-9) -> ZhaReport:
     """Classify canonical parameters (κ0..κ4, θ) against the two perfect
     subfamilies. The phase θ is free in both forms and does not affect
     membership."""
+    _check_tol(tol)
     k = [float(v) for v in kappas]
     if len(k) != 5:
         raise ConstraintViolated(f"expected 5 canonical coefficients, got {len(k)}")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConstraintViolated, OutOfRange, TooManyQubits
-from .statevec import MAX_QUBITS, StateVector, new_state
+from .statevec import MAX_QUBITS, StateVector, is_int, new_state
 
 SQRT_HALF = math.sqrt(0.5)
 CONSTRAINT_SLACK = 1e-12
@@ -23,8 +23,8 @@ CONSTRAINT_SLACK = 1e-12
 
 def ghz(n: int) -> StateVector:
     """(|0…0⟩ + |1…1⟩)/√2 on n ≥ 2 qubits."""
-    if n < 2:
-        raise OutOfRange(f"GHZ needs n ≥ 2, got {n}")
+    if not (is_int(n) and n >= 2):
+        raise OutOfRange(f"GHZ needs an integer n ≥ 2, got {n!r}")
     if n > MAX_QUBITS:
         raise TooManyQubits(f"n = {n} exceeds the {MAX_QUBITS}-qubit cap")
     amps = np.zeros(2**n, dtype=complex)
@@ -136,8 +136,8 @@ def zha_counterexample(a: float, b: float, theta: float = 0.0, delta: float = 0.
 
 def random_state(n: int, rng=None) -> StateVector:
     """Haar-random pure state: a normalized complex Gaussian amplitude vector."""
-    if n < 1:
-        raise OutOfRange(f"need n ≥ 1, got {n}")
+    if not (is_int(n) and n >= 1):
+        raise OutOfRange(f"need an integer n ≥ 1, got {n!r}")
     if n > MAX_QUBITS:
         raise TooManyQubits(f"n = {n} exceeds the {MAX_QUBITS}-qubit cap")
     gen = np.random.default_rng(rng)

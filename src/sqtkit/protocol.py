@@ -51,22 +51,22 @@ class InfoQubit:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeRecord:
-    """One sender outcome: probability, the receiver's collapsed qubit, the
-    correction to apply, and the fidelity it achieves."""
+    """One sender outcome: its probability, the receiver's collapsed qubit as a
+    read-only array, the correction to apply, and the fidelity it achieves."""
 
     outcome: int
     prob: float
-    bob_state: StateVector
+    bob_state: np.ndarray
     correction: str
     fidelity: float
 
 
 @dataclass(frozen=True, eq=False)
 class TeleportResult:
-    """Record of a single simulated teleportation run."""
+    """One simulated run and its corrected receiver qubit (a read-only array)."""
 
     record: OutcomeRecord
-    final_state: StateVector
+    final_state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,18 +78,16 @@ class McEstimate:
     samples: int
 
 
-def measurement_basis(form: SchmidtForm) -> tuple[StateVector, ...]:
+def measurement_basis(form: SchmidtForm) -> tuple[np.ndarray, ...]:
     """The four orthonormal sender states over (information qubit, n−1
-    resource qubits), built from the Schmidt branches:
+    resource qubits), built from the Schmidt branches as read-only arrays:
     Ψ(0,1) = (|0⟩|branch0⟩ ± |1⟩|branch1⟩)/√2 and
     Ψ(2,3) = (|0⟩|branch1⟩ ± |1⟩|branch0⟩)/√2."""
-    b0 = form.branch0.amps
-    b1 = form.branch1.amps
-    n = form.branch0.n + 1
-    return tuple(
-        StateVector(n, SQRT_HALF * np.concatenate([top, bottom]))
-        for top, bottom in ((b0, b1), (b0, -b1), (b1, b0), (b1, -b0))
-    )
+    b0, b1 = form.branch0, form.branch1
+    pairs = ((b0, b1), (b0, -b1), (b1, b0), (b1, -b0))
+    states = SQRT_HALF * np.array([np.concatenate(pair) for pair in pairs])
+    states.flags.writeable = False  # the rows handed out are read-only views of it
+    return tuple(states)
 
 
 def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
@@ -135,9 +133,10 @@ def outcome_table(info: InfoQubit, form: SchmidtForm) -> list[OutcomeRecord]:
         # an outcome of probability zero collapses to nothing; report |0̄⟩
         pairs.append((top / norm, bottom / norm) if norm > 1e-15 else (1.0, 0.0))
     bob_states = np.array(pairs) @ form.receiver_basis.T
+    bob_states.flags.writeable = False  # the rows handed out are read-only views of it
     probs, fids = (p01, p01, p23, p23), (f01, f01, f23, f23)
     return [
-        OutcomeRecord(r, probs[r], StateVector(1, bob_states[r]), CORRECTION_LABELS[r], fids[r])
+        OutcomeRecord(r, probs[r], bob_states[r], CORRECTION_LABELS[r], fids[r])
         for r in range(4)
     ]
 
@@ -165,7 +164,7 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     applied without re-checking it.
     """
     form = schmidt_form(resource, bob)
-    rows = SQRT_HALF * np.array((form.branch0.amps, form.branch1.amps)).conj()
+    rows = SQRT_HALF * np.array((form.branch0, form.branch1)).conj()
     p0, p1 = (rows @ _receiver_blocks(resource, bob)).tolist()
     a0, a1 = info.amp0, info.amp1
     proj = (
@@ -177,9 +176,10 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     probs = [abs(u) ** 2 + abs(v) ** 2 for u, v in proj]
     rng = np.random.default_rng(seed)
     r = _draw_outcome(probs, rng)
-    collapsed = StateVector(1, np.array(proj[r]) / math.sqrt(probs[r]))
-    final = StateVector(1, correction_matrix(r, form.receiver_basis) @ collapsed.amps)
-    f0, f1 = final.amps.tolist()
+    collapsed = np.array(proj[r]) / math.sqrt(probs[r])
+    final = correction_matrix(r, form.receiver_basis) @ collapsed
+    collapsed.flags.writeable = final.flags.writeable = False
+    f0, f1 = final.tolist()
     fidelity = abs(a0.conjugate() * f0 + a1.conjugate() * f1) ** 2
     record = OutcomeRecord(r, probs[r], collapsed, CORRECTION_LABELS[r], fidelity)
     return TeleportResult(record, final)

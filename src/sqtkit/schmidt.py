@@ -33,9 +33,11 @@ from the one product M†M (split_by_receiver reads its weights and
 K = g/(A·B) from the same product), forms the rotated branches M₀ + z*·M₁
 and M₁ − z·M₀, puts the heavier one first (a basis swap, needed only when
 z = 0 and B > A), and gives a minor branch whose coefficient is
-≤ DEGENERATE_TOL an exact direction orthogonal to the major one. `rotation_candidates` keeps the quadratic with both roots as an oracle,
-and `concurrence_via_density` is an independent route to C through a QR
-factorization of the two-column amplitude matrix, done in closed form with
+≤ DEGENERATE_TOL an exact direction orthogonal to the major one. Its
+branches are read-only arrays, not StateVectors, and the split keeps no
+branches. `rotation_candidates` keeps the quadratic with both roots as an
+oracle, and `concurrence_via_density` is an independent route to C through a
+QR factorization of the two-column amplitude matrix, done in closed form with
 two Gram–Schmidt passes.
 """
 
@@ -57,18 +59,15 @@ OVERLAP_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class BipartiteSplit:
-    """Receiver-qubit split A·|branch0⟩|0⟩ + B·|branch1⟩|1⟩ of a resource.
+    """Weights and overlap of the receiver-qubit split A·|ψ0⟩|0⟩ + B·|ψ1⟩|1⟩.
 
-    weight0 and weight1 are the nonnegative block norms; branches whose
-    weight falls below 1e-12 are stored as None and the overlap defaults
-    to 0. The block phases stay inside the branch vectors, which keeps the
-    weights real.
+    weight0 and weight1 are the nonnegative block norms A and B, and overlap
+    is K = ⟨ψ1|ψ0⟩; it is 0 when either weight is ≤ DEGENERATE_TOL. The
+    branches themselves are the blocks divided by their weights.
     """
 
     weight0: float
     weight1: float
-    branch0: StateVector | None
-    branch1: StateVector | None
     overlap: complex
 
 
@@ -76,18 +75,19 @@ class BipartiteSplit:
 class SchmidtForm:
     """Orthogonal decomposition coeff0·|branch0⟩|0̄⟩ + coeff1·|branch1⟩|1̄⟩.
 
-    coeff0 ≥ coeff1 ≥ 0, the branches are orthonormal, concurrence equals
-    2·coeff0·coeff1, and receiver_basis is the 2×2 unitary whose columns are
-    |0̄⟩ and |1̄⟩. Splits that need the branch order swapped (z = 0 with
-    B > A) are reachable only as the z → ∞ limit of the rotation family, so
-    for them receiver_basis composes U(0) with a basis swap and z stays 0.
+    coeff0 ≥ coeff1 ≥ 0, the branches are orthonormal read-only arrays of
+    length 2**(n−1), concurrence equals 2·coeff0·coeff1, and receiver_basis
+    is the 2×2 unitary whose columns are |0̄⟩ and |1̄⟩. Splits that need the
+    branch order swapped (z = 0 with B > A) are reachable only as the z → ∞
+    limit of the rotation family, so for them receiver_basis composes U(0)
+    with a basis swap and z stays 0.
     """
 
     coeff0: float
     coeff1: float
     z: complex
-    branch0: StateVector
-    branch1: StateVector
+    branch0: np.ndarray
+    branch1: np.ndarray
     concurrence: float
     receiver_basis: np.ndarray
 
@@ -115,14 +115,10 @@ def _gram(blocks: np.ndarray) -> tuple[float, float, complex]:
 
 
 def split_by_receiver(sv: StateVector, bob: int) -> BipartiteSplit:
-    """Split a resource by the receiver's qubit (branch vectors keep the
-    remaining qubits in their original relative order)."""
-    blocks = _receiver_blocks(sv, bob)
-    w0, w1, g = _gram(blocks)
-    branch0 = StateVector(sv.n - 1, blocks[:, 0] / w0) if w0 > DEGENERATE_TOL else None
-    branch1 = StateVector(sv.n - 1, blocks[:, 1] / w1) if w1 > DEGENERATE_TOL else None
-    overlap = g / (w0 * w1) if branch0 is not None and branch1 is not None else 0j
-    return BipartiteSplit(w0, w1, branch0, branch1, overlap)
+    """Block weights and branch overlap of a resource split by the receiver's qubit."""
+    w0, w1, g = _gram(_receiver_blocks(sv, bob))
+    overlap = g / (w0 * w1) if w0 > DEGENERATE_TOL and w1 > DEGENERATE_TOL else 0j
+    return BipartiteSplit(w0, w1, overlap)
 
 
 def rotation_candidates(split: BipartiteSplit) -> tuple[complex, complex]:
@@ -198,10 +194,8 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
         b1 = raw1 / _norm(raw1)
     else:
         b1 = _orthogonal_filler(b0)
-    u = np.ascontiguousarray(u)
-    u.flags.writeable = False
-    n = sv.n - 1
-    return SchmidtForm(c0, c1, z, StateVector(n, b0), StateVector(n, b1), 2.0 * c0 * c1, u)
+    b0.flags.writeable = b1.flags.writeable = u.flags.writeable = False
+    return SchmidtForm(c0, c1, z, b0, b1, 2.0 * c0 * c1, u)
 
 
 def concurrence(sv: StateVector, bob: int) -> float:

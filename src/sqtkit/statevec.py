@@ -5,8 +5,10 @@ Bit ordering: qubit 0 is the most significant bit of the amplitude index, so
 for n = 3 the amplitude at index 0b011 belongs to |011⟩ (qubit 0 in state 0,
 qubits 1 and 2 in state 1). The receiver's qubit defaults to index n − 1.
 
-Everything here is a pure function over immutable values; stored amplitude
-arrays are marked read-only.
+A `StateVector` holds checked input only: amplitudes from outside, or from
+`new_state`, `basis_state`, `permute_qubits` and `random_state`. Vectors that
+the analysis and the protocol derive are plain read-only complex arrays. All
+functions here are pure, and every stored amplitude array is read-only.
 """
 
 from __future__ import annotations
@@ -35,18 +37,18 @@ for _m in (PAULI_X, PAULI_Z):
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Amplitude vector over 2**n basis states.
+    """Checked amplitude vector over 2**n basis states.
 
     Build through :func:`new_state`, which checks and renormalizes. The bare
-    constructor only checks the qubit count and the shape; the package and
-    callers outside it use it to wrap amplitudes that are already unit-norm.
+    constructor checks only n and the shape, and copies unit-norm input; the
+    analysis and the protocol never wrap the vectors they derive in it.
     """
 
     n: int
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
+        if not (is_int(self.n) and 1 <= self.n <= MAX_QUBITS):
             raise TooManyQubits(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
         amps = np.array(self.amps, dtype=complex, order="C").reshape(-1)
         if amps.size != 2**self.n:
@@ -80,7 +82,7 @@ def new_state(n: int, amps) -> StateVector:
 
 def basis_state(n: int, index: int) -> StateVector:
     """Computational basis ket whose bit pattern is `index` (qubit 0 = MSB)."""
-    if not 0 <= index < 2**n:
+    if not (is_int(index) and 0 <= index < 2**n):
         raise IndexOutOfRange(f"basis index {index} outside 0..{2 ** n - 1}")
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
@@ -93,7 +95,7 @@ def is_int(x) -> bool:
 
 
 def check_qubit_index(n: int, q: int) -> None:
-    if not 0 <= q < n:
+    if not (is_int(q) and 0 <= q < n):
         raise IndexOutOfRange(f"qubit {q} outside 0..{n - 1}")
 
 

@@ -59,19 +59,9 @@ def reconstruct_form(form, n: int, bob: int) -> np.ndarray:
     """Reassemble coeff0·branch0⊗U|0⟩ + coeff1·branch1⊗U|1⟩ with the receiver
     moved back to its original position; returns the amplitude vector."""
     u = form.receiver_basis
-    joined = form.coeff0 * np.kron(form.branch0.amps, u[:, 0]) + form.coeff1 * np.kron(
-        form.branch1.amps, u[:, 1]
+    joined = form.coeff0 * np.kron(form.branch0, u[:, 0]) + form.coeff1 * np.kron(
+        form.branch1, u[:, 1]
     )
-    perm = move_to_last_perm(n, bob)
-    return permute_qubits(StateVector(n, joined), np.argsort(perm)).amps
-
-
-def reconstruct_split(split, n: int, bob: int) -> np.ndarray:
-    """Reassemble A·branch0⊗|0⟩ + B·branch1⊗|1⟩ (computational receiver basis)."""
-    dim = 2 ** (n - 1)
-    b0 = split.branch0.amps if split.branch0 is not None else np.zeros(dim, dtype=complex)
-    b1 = split.branch1.amps if split.branch1 is not None else np.zeros(dim, dtype=complex)
-    joined = split.weight0 * np.kron(b0, [1, 0]) + split.weight1 * np.kron(b1, [0, 1])
     perm = move_to_last_perm(n, bob)
     return permute_qubits(StateVector(n, joined), np.argsort(perm)).amps
 

@@ -138,7 +138,7 @@ def test_criterion_5_schmidt_machinery(big_corpus):
         for sv in big_corpus:
             for bob in range(sv.n):
                 form = schmidt_form(sv, bob)
-                assert abs(np.vdot(form.branch1.amps, form.branch0.amps)) < 1e-10
+                assert abs(np.vdot(form.branch1, form.branch0)) < 1e-10
                 assert abs(form.coeff0**2 + form.coeff1**2 - 1.0) < 1e-10
                 assert np.max(np.abs(reconstruct_form(form, sv.n, bob) - sv.amps)) < 1e-10
 

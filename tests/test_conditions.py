@@ -7,6 +7,7 @@ from helpers import FAMILY_MEMBERS
 from sqtkit import (
     ConstraintViolated,
     NotNormalized,
+    OutOfRange,
     WrongQubitCount,
     acin_canonical,
     average_fidelity_mc,
@@ -224,3 +225,19 @@ class TestSoundnessAndCompleteness:
         assert all(b < a for a, b in zip(mafs, mafs[1:]))
         # for this family 1 − MAF ≈ residual²/6, so r²/7 is a safe margin
         assert all(m < 1.0 - r**2 / 7 for r, m in zip(residuals[1:], mafs[1:]))
+
+
+CHECKS = {
+    "general": lambda tol: check_general(ghz(3), 2, tol),
+    "3qubit": lambda tol: check_3qubit(ghz(3), 2, tol),
+    "zha": lambda tol: classify_zha((0.5, 0.0, 0.3, 0.4, SQRT_HALF), tol=tol),
+    "acin-alt": lambda tol: classify_acin_alt(0.5, 0.0, SQRT_HALF, 0.5, 0.0, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0], ids=repr)
+@pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+def test_tolerance_must_be_positive_and_finite(check, tol):
+    # a NaN tolerance would make every verdict False, a negative one too
+    with pytest.raises(OutOfRange):
+        check(tol)

@@ -41,6 +41,11 @@ class TestGhz:
         with pytest.raises(TooManyQubits):
             ghz(13)
 
+    @pytest.mark.parametrize("n", [3.0, True], ids=repr)
+    def test_rejects_non_integer_count(self, n):
+        with pytest.raises(OutOfRange):
+            ghz(n)
+
 
 class TestWGeneral:
     def test_amplitude_placement(self):
@@ -206,6 +211,11 @@ class TestRandomState:
             random_state(0, 0)
         with pytest.raises(TooManyQubits):
             random_state(13, 0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True], ids=repr)
+    def test_rejects_non_integer_count(self, n):
+        with pytest.raises(OutOfRange):
+            random_state(n, 0)
 
 
 def test_every_constructor_is_exactly_normalized():

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import apply_one_qubit
 from sqtkit import protocol
 from sqtkit import (
     CORRECTION_LABELS,
@@ -65,7 +64,7 @@ class TestMeasurementBasis:
             ]
         )
         for got, want in zip(states, bell):
-            np.testing.assert_allclose(got.amps, want, atol=1e-15)
+            np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_ghz_first_element(self):
         form = schmidt_form(ghz(3), 2)
@@ -73,14 +72,12 @@ class TestMeasurementBasis:
         expected = np.zeros(8, dtype=complex)
         expected[0b000] = SQRT_HALF
         expected[0b111] = SQRT_HALF
-        np.testing.assert_allclose(psi0.amps, expected, atol=1e-15)
+        np.testing.assert_allclose(psi0, expected, atol=1e-15)
 
     def test_gram_matrix_is_identity(self, small_corpus):
         for sv in list(small_corpus[:20]) + [standard_w(), basis_state(3, 0)]:
             states = measurement_basis(schmidt_form(sv, sv.n - 1))
-            gram = np.array(
-                [[np.vdot(x.amps, y.amps) for y in states] for x in states]
-            )
+            gram = np.array([[np.vdot(x, y) for y in states] for x in states])
             np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
 
@@ -97,7 +94,7 @@ class TestMeasurementBasisDrivesTheRun:
             rest_then_bob = permute_qubits(sv, move_to_last_perm(sv.n, bob))
             joint = np.kron([info.amp0, info.amp1], rest_then_bob.amps).reshape(-1, 2)
             weights = [
-                float(np.linalg.norm(state.amps.conj() @ joint) ** 2)
+                float(np.linalg.norm(state.conj() @ joint) ** 2)
                 for state in measurement_basis(schmidt_form(sv, bob))
             ]
             assert sum(weights) == pytest.approx(1.0, abs=1e-12)
@@ -109,6 +106,17 @@ class TestMeasurementBasisDrivesTheRun:
                 if not unseen:
                     break
             assert not unseen, (sv.n, bob, weights)
+
+
+def test_derived_vectors_are_read_only():
+    form = schmidt_form(standard_w(), 2)
+    info = InfoQubit(0.6, 0.8j)
+    result = run_teleport(info, standard_w(), 2, seed=3)
+    derived = [form.branch0, form.branch1, outcome_table(info, form)[2].bob_state,
+               result.record.bob_state, result.final_state, measurement_basis(form)[1]]
+    for vec in derived:
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
 
 
 class TestOutcomeTable:
@@ -143,7 +151,7 @@ class TestOutcomeTable:
             for rec in table:
                 assert rec.prob >= 0.0
                 assert -1e-12 <= rec.fidelity <= 1.0 + 1e-12
-                assert abs(rec.bob_state.norm() - 1.0) < 1e-12
+                assert abs(np.linalg.norm(rec.bob_state) - 1.0) < 1e-12
 
     def test_edge_of_tolerance_info_still_conserves_probability(self):
         # amplitudes admitted at the 1e-10 gate are renormalized exactly
@@ -164,10 +172,8 @@ class TestOutcomeTable:
             for rec in outcome_table(info, form):
                 if rec.prob < 1e-15:
                     continue
-                corrected = apply_one_qubit(
-                    rec.bob_state, 0, correction_matrix(rec.outcome, form.receiver_basis)
-                )
-                explicit = abs(np.vdot([info.amp0, info.amp1], corrected.amps)) ** 2
+                corrected = correction_matrix(rec.outcome, form.receiver_basis) @ rec.bob_state
+                explicit = abs(np.vdot([info.amp0, info.amp1], corrected)) ** 2
                 assert rec.fidelity == pytest.approx(explicit, abs=1e-12)
 
     def test_zero_probability_outcome_convention(self):
@@ -193,7 +199,7 @@ class TestRunTeleport:
         first = run_teleport(info, w, 2, seed=42)
         second = run_teleport(info, w, 2, seed=42)
         assert first.record.outcome == second.record.outcome
-        np.testing.assert_array_equal(first.final_state.amps, second.final_state.amps)
+        np.testing.assert_array_equal(first.final_state, second.final_state)
 
     def test_product_resource_uniform_outcomes(self):
         # Ā = 1, B̄ = 0 with equatorial info: every outcome has probability 1/4

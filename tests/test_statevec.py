@@ -18,8 +18,10 @@ from sqtkit import (
     basis_state,
     new_state,
     permute_qubits,
+    split_by_receiver,
 )
 from sqtkit.schmidt import _gram, _receiver_blocks
+from sqtkit.statevec import check_qubit_index
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -67,6 +69,12 @@ class TestNewState:
         with pytest.raises(TooManyQubits):
             new_state(0, [1])
 
+    def test_rejects_non_integer_qubit_count(self):
+        with pytest.raises(TooManyQubits):
+            new_state(2.0, [1, 0, 0, 0])
+        with pytest.raises(TooManyQubits):
+            new_state(True, [1, 0])
+
     def test_silent_renormalization_within_tolerance(self):
         amps = np.array([1.0, 0, 0, 0]) * (1 + 5e-10)
         sv = new_state(2, amps)
@@ -76,6 +84,27 @@ class TestNewState:
         sv = new_state(1, [1, 0])
         with pytest.raises(ValueError):
             sv.amps[0] = 0.0
+
+
+NON_INTEGERS = [True, 1.0, np.float64(1.0)]
+
+
+class TestIntegerIndices:
+    @pytest.mark.parametrize("q", NON_INTEGERS, ids=repr)
+    def test_qubit_index_must_be_an_integer(self, q):
+        with pytest.raises(IndexOutOfRange):
+            check_qubit_index(3, q)
+        with pytest.raises(IndexOutOfRange):
+            split_by_receiver(ghz3(), q)
+
+    @pytest.mark.parametrize("index", NON_INTEGERS, ids=repr)
+    def test_basis_index_must_be_an_integer(self, index):
+        with pytest.raises(IndexOutOfRange):
+            basis_state(2, index)
+
+    def test_numpy_integers_are_accepted(self):
+        check_qubit_index(3, np.int64(2))
+        np.testing.assert_array_equal(basis_state(2, np.int32(1)).amps, [0, 1, 0, 0])
 
 
 class TestInner:
