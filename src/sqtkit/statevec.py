@@ -48,8 +48,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not (is_int(self.n) and 1 <= self.n <= MAX_QUBITS):
-            raise TooManyQubits(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
+        check_qubit_count(self.n)
         amps = np.array(self.amps, dtype=complex, order="C").reshape(-1)
         if amps.size != 2**self.n:
             raise DimensionMismatch(
@@ -77,11 +76,17 @@ def new_state(n: int, amps) -> StateVector:
     norm = sv.norm()
     if not abs(norm - 1.0) <= NORM_TOL:  # negated so that a NaN norm fails too
         raise NotNormalized(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
-    return StateVector(n, sv.amps / norm)
+    # the constructor's copy is not yet shared: renormalize it in place
+    amps = sv.amps
+    amps.flags.writeable = True
+    amps /= norm
+    amps.flags.writeable = False
+    return sv
 
 
 def basis_state(n: int, index: int) -> StateVector:
     """Computational basis ket whose bit pattern is `index` (qubit 0 = MSB)."""
+    check_qubit_count(n)
     if not (is_int(index) and 0 <= index < 2**n):
         raise IndexOutOfRange(f"basis index {index} outside 0..{2 ** n - 1}")
     amps = np.zeros(2**n, dtype=complex)
@@ -92,6 +97,11 @@ def basis_state(n: int, index: int) -> StateVector:
 def is_int(x) -> bool:
     """True for Python and numpy integers; False for bool and anything else."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_qubit_count(n: int) -> None:
+    if not (is_int(n) and 1 <= n <= MAX_QUBITS):
+        raise TooManyQubits(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
 
 
 def check_qubit_index(n: int, q: int) -> None:
@@ -119,5 +129,6 @@ def permute_qubits(sv: StateVector, perm) -> StateVector:
 
 def move_to_last_perm(n: int, q: int) -> list[int]:
     """Permutation sending qubit q to position n − 1, keeping relative order."""
+    check_qubit_count(n)
     check_qubit_index(n, q)
     return [n - 1 if i == q else (i - 1 if i > q else i) for i in range(n)]

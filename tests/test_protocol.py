@@ -279,6 +279,27 @@ class TestHaarSampling:
         with pytest.raises(OutOfRange):
             haar_info_samples(0)
 
+    @pytest.mark.parametrize("count", [1, 2, 7, 1000])
+    def test_samples_are_two_complex_gaussian_draws(self, count):
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            raw = gen.standard_normal((count, 2)) + 1j * gen.standard_normal((count, 2))
+            expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            assert haar_info_samples(count, seed).tobytes() == expected.tobytes()
+
+    def test_shared_draw_leaves_the_generator_where_two_draws_do(self):
+        one, two = np.random.default_rng(4), np.random.default_rng(4)
+        protocol._haar_normals(7, one)
+        two.standard_normal((7, 2)), two.standard_normal((7, 2))
+        assert one.standard_normal(5).tobytes() == two.standard_normal(5).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 1000, 10_000])
+    def test_mc_weights_match_the_complex_samples(self, count):
+        for seed in range(50):
+            weights = protocol._haar_weights(count, np.random.default_rng(seed))
+            pa = np.abs(haar_info_samples(count, seed)[:, 0]) ** 2
+            assert np.max(np.abs(weights - pa)) <= 1e-15
+
     @pytest.mark.parametrize("count", [2.5, 1e3, True])
     def test_rejects_non_integer_count(self, count):
         with pytest.raises(OutOfRange, match="integer"):
@@ -340,26 +361,35 @@ class TestAverageFidelityMc:
 
     @pytest.mark.parametrize("samples", [protocol.MC_MAX_SAMPLES + 1, 100_000_000_000])
     def test_refuses_counts_beyond_the_cap_before_drawing(self, monkeypatch, samples):
-        monkeypatch.setattr(protocol, "haar_info_samples", _no_draws)
+        monkeypatch.setattr(protocol, "_haar_normals", _no_draws)
         with pytest.raises(OutOfRange, match=str(protocol.MC_MAX_SAMPLES)):
             average_fidelity_mc(ghz(3), 2, samples, 0)
 
     @pytest.mark.parametrize("samples", [2.5, 1e3, True, np.float64(10.0)])
     def test_refuses_non_integer_counts_before_drawing(self, monkeypatch, samples):
-        monkeypatch.setattr(protocol, "haar_info_samples", _no_draws)
+        monkeypatch.setattr(protocol, "_haar_normals", _no_draws)
         with pytest.raises(OutOfRange, match="integer"):
             average_fidelity_mc(ghz(3), 2, samples, 0)
+
+    def test_valid_count_reaches_the_patched_draw(self, monkeypatch):
+        # positive control for the two tests above: the patch is on the path
+        monkeypatch.setattr(protocol, "_haar_normals", _no_draws)
+        with pytest.raises(AssertionError, match="drew samples"):
+            average_fidelity_mc(ghz(3), 2, 10, 0)
 
     def test_accepts_numpy_integer_count(self):
         assert average_fidelity_mc(ghz(3), 2, np.int64(100), 0).samples == 100
 
 
 def _no_draws(*args):
-    raise AssertionError("drew samples for a refused count")
+    raise AssertionError("drew samples")
 
 
 def _summed_fidelities(pairs, form):
-    pa = np.abs(pairs[:, 0]) ** 2
+    return _summed_fidelities_of_weights(np.abs(pairs[:, 0]) ** 2, form)
+
+
+def _summed_fidelities_of_weights(pa, form):
     ca, cb = form.coeff0, form.coeff1
     return (pa * ca + (1 - pa) * cb) ** 2 + ((1 - pa) * ca + pa * cb) ** 2
 
@@ -367,7 +397,10 @@ def _summed_fidelities(pairs, form):
 class TestMonteCarloChunks:
     def test_single_chunk_is_the_plain_reduction(self, monkeypatch):
         sv = random_state(3, 11)
-        values = _summed_fidelities(haar_info_samples(1000, 8), schmidt_form(sv, 1))
+        x = protocol._haar_normals(1000, np.random.default_rng(8)) ** 2
+        w = x[0] + x[1]
+        pa = w[:, 0] / (w[:, 0] + w[:, 1])
+        values = _summed_fidelities_of_weights(pa, schmidt_form(sv, 1))
         for chunk in (protocol.MC_CHUNK, 1000):
             monkeypatch.setattr(protocol, "MC_CHUNK", chunk)
             est = average_fidelity_mc(sv, 1, 1000, 8)

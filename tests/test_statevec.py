@@ -16,6 +16,7 @@ from sqtkit import (
     StateVector,
     TooManyQubits,
     basis_state,
+    move_to_last_perm,
     new_state,
     permute_qubits,
     split_by_receiver,
@@ -75,6 +76,19 @@ class TestNewState:
         with pytest.raises(TooManyQubits):
             new_state(True, [1, 0])
 
+    def test_builds_one_state_vector(self, monkeypatch):
+        built = []
+        init = StateVector.__post_init__
+        monkeypatch.setattr(StateVector, "__post_init__", lambda sv: built.append(init(sv)))
+        new_state(2, [0.6, 0, 0, 0.8])
+        assert len(built) == 1
+
+    def test_renormalizes_without_touching_the_input(self):
+        amps = np.array([0.6, 0, 0, 0.8j]) * (1 + 5e-10)
+        kept = amps.copy()
+        np.testing.assert_allclose(new_state(2, amps).amps, kept / np.linalg.norm(kept), atol=1e-16)
+        assert amps.tobytes() == kept.tobytes() and amps.flags.writeable
+
     def test_silent_renormalization_within_tolerance(self):
         amps = np.array([1.0, 0, 0, 0]) * (1 + 5e-10)
         sv = new_state(2, amps)
@@ -87,6 +101,24 @@ class TestNewState:
 
 
 NON_INTEGERS = [True, 1.0, np.float64(1.0)]
+BAD_QUBIT_COUNTS = [0, -1, 13, 100, 2.0, np.float64(3.0), True]
+
+
+class TestQubitCounts:
+    @pytest.mark.parametrize("n", BAD_QUBIT_COUNTS, ids=repr)
+    def test_basis_state_refuses_bad_counts(self, n):
+        with pytest.raises(TooManyQubits):
+            basis_state(n, 0)
+
+    @pytest.mark.parametrize("n", BAD_QUBIT_COUNTS, ids=repr)
+    def test_move_to_last_perm_refuses_bad_counts(self, n):
+        with pytest.raises(TooManyQubits):
+            move_to_last_perm(n, 0)
+
+    @pytest.mark.parametrize("n", [1, 12, np.int64(3)], ids=repr)
+    def test_valid_counts_are_accepted(self, n):
+        assert basis_state(n, 0).amps.size == 2**n
+        assert move_to_last_perm(n, 0)[0] == n - 1
 
 
 class TestIntegerIndices:
