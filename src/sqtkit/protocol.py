@@ -42,7 +42,10 @@ class InfoQubit:
 
     def __post_init__(self):
         amp0, amp1 = complex(self.amp0), complex(self.amp1)
-        norm_sq = abs(amp0) ** 2 + abs(amp1) ** 2
+        try:  # x * x overflows to inf where x ** 2 raises; abs raises past ~1.8e308
+            norm_sq = abs(amp0) * abs(amp0) + abs(amp1) * abs(amp1)
+        except OverflowError:
+            norm_sq = math.inf
         if not abs(norm_sq - 1.0) <= 1e-10:  # negated so that NaN fails too
             raise NotNormalized(f"|amp0|² + |amp1|² = {norm_sq} is not 1")
         norm = math.sqrt(norm_sq)

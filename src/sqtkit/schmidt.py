@@ -35,10 +35,12 @@ and M₁ − z·M₀, puts the heavier one first (a basis swap, needed only when
 z = 0 and B > A), and gives a minor branch whose coefficient is
 ≤ DEGENERATE_TOL an exact direction orthogonal to the major one. Its
 branches are read-only arrays, not StateVectors, and the split keeps no
-branches. `rotation_candidates` keeps the quadratic with both roots as an
-oracle, and `concurrence_via_density` is an independent route to C through a
-QR factorization of the two-column amplitude matrix, done in closed form with
-two Gram–Schmidt passes.
+branches. The Gram triple and the form are kept in the state's memo, once
+per receiver, so repeated calls on one state return the same objects.
+`rotation_candidates` keeps the quadratic with both roots as an oracle, and
+`concurrence_via_density` is an independent route to C through a QR
+factorization of the two-column amplitude matrix, done in closed form with
+two Gram–Schmidt passes; neither reads the memo.
 """
 
 from __future__ import annotations
@@ -96,13 +98,17 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
+def _check_receiver(sv: StateVector, bob: int) -> None:
+    if sv.n < 2:
+        raise WrongQubitCount(f"resource must have at least 2 qubits, got {sv.n}")
+    check_qubit_index(sv.n, bob)
+
+
 def _receiver_blocks(sv: StateVector, bob: int) -> np.ndarray:
     """The (2^(n−1), 2) matrix M whose columns are the receiver-|0⟩ and
     receiver-|1⟩ blocks A·|ψ0⟩ and B·|ψ1⟩, the other qubits kept in their
     original relative order."""
-    if sv.n < 2:
-        raise WrongQubitCount(f"resource must have at least 2 qubits, got {sv.n}")
-    check_qubit_index(sv.n, bob)
+    _check_receiver(sv, bob)
     # index = (qubits before bob, bob, qubits after bob); bob's axis goes last
     return sv.amps.reshape(1 << bob, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
 
@@ -114,9 +120,22 @@ def _gram(blocks: np.ndarray) -> tuple[float, float, complex]:
     return math.sqrt(a2.real), math.sqrt(b2.real), g
 
 
+def _gram_of(sv: StateVector, bob: int, blocks=None) -> tuple[float, float, complex]:
+    """`_gram` of the receiver blocks (`blocks`, when the caller has read
+    them already), computed once per (state, receiver). The caller checks
+    `bob` first: True and 1.0 hash like 1, so they would find receiver 1."""
+    gram = sv._memo.get(("gram", bob))
+    if gram is None:
+        if blocks is None:
+            blocks = _receiver_blocks(sv, bob)
+        gram = sv._memo["gram", bob] = _gram(blocks)
+    return gram
+
+
 def split_by_receiver(sv: StateVector, bob: int) -> BipartiteSplit:
     """Block weights and branch overlap of a resource split by the receiver's qubit."""
-    w0, w1, g = _gram(_receiver_blocks(sv, bob))
+    _check_receiver(sv, bob)
+    w0, w1, g = _gram_of(sv, bob)
     overlap = g / (w0 * w1) if w0 > DEGENERATE_TOL and w1 > DEGENERATE_TOL else 0j
     return BipartiteSplit(w0, w1, overlap)
 
@@ -172,10 +191,16 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     """Orthogonal receiver-basis decomposition of a resource state.
 
     Reassembling coeff0·branch0⊗(U|0⟩) + coeff1·branch1⊗(U|1⟩), with the
-    receiver back at its original position, reproduces the input state.
+    receiver back at its original position, reproduces the input state. The
+    form is computed once per (state, receiver): later calls return the same
+    frozen object.
     """
+    _check_receiver(sv, bob)  # before the lookup: True and 1.0 hash like 1
+    form = sv._memo.get(("form", bob))
+    if form is not None:
+        return form
     blocks = _receiver_blocks(sv, bob)
-    z = _top_root(*_gram(blocks))
+    z = _top_root(*_gram_of(sv, bob, blocks))
     scale = math.sqrt(1.0 + abs(z) ** 2)
     raw0 = blocks[:, 0] + z.conjugate() * blocks[:, 1]
     raw1 = blocks[:, 1] - z * blocks[:, 0]
@@ -195,7 +220,8 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     else:
         b1 = _orthogonal_filler(b0)
     b0.flags.writeable = b1.flags.writeable = u.flags.writeable = False
-    return SchmidtForm(c0, c1, z, b0, b1, 2.0 * c0 * c1, u)
+    form = sv._memo["form", bob] = SchmidtForm(c0, c1, z, b0, b1, 2.0 * c0 * c1, u)
+    return form
 
 
 def concurrence(sv: StateVector, bob: int) -> float:

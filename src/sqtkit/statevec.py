@@ -9,12 +9,18 @@ A `StateVector` holds checked input only: amplitudes from outside, or from
 `new_state`, `basis_state`, `permute_qubits` and `random_state`. Vectors that
 the analysis and the protocol derive are plain read-only complex arrays. All
 functions here are pure, and every stored amplitude array is read-only.
+
+Because the amplitudes never change, a `StateVector` also carries a private
+memo in which `sqtkit.schmidt` keeps its receiver analyses (the Gram read and
+the Schmidt form per receiver qubit), so each is computed once per object.
+Every function here that returns a `StateVector` returns a new object, whose
+memo starts empty.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +52,8 @@ class StateVector:
 
     n: int
     amps: np.ndarray
+    # receiver analyses derived from amps, keyed and filled by sqtkit.schmidt
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         check_qubit_count(self.n)

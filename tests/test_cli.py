@@ -186,6 +186,17 @@ class TestTeleport:
     def test_nan_info_exit_two(self, ghz_file):
         assert main(["teleport", ghz_file, "--info", "nan,0,1,0"]) == 2
 
+    @pytest.mark.parametrize("info", ["1e200,0,0,0", "1.7e308,1.7e308,0,0"])
+    def test_overflowing_info_prints_only_the_error(self, ghz_file, info):
+        # a subprocess, so that a numpy RuntimeWarning would reach stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(sqtkit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "sqtkit.cli", "teleport", ghz_file, f"--info={info}"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: |amp0|² + |amp1|² = inf is not 1"]
+
 
 class TestGen:
     def test_ghz_roundtrip(self, tmp_path, capsys):

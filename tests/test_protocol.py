@@ -50,6 +50,11 @@ class TestInfoQubit:
         with pytest.raises(NotNormalized):
             InfoQubit(float("nan"), 1.0)
 
+    @pytest.mark.parametrize("amps", [(1e200, 0), (0, 1e200j), (complex(1.7e308, 1.7e308), 0)], ids=repr)
+    def test_rejects_overflowing_norm(self, amps):
+        with pytest.raises(NotNormalized):
+            InfoQubit(*amps)
+
 
 class TestMeasurementBasis:
     def test_two_qubit_resource_gives_bell_basis(self):
@@ -256,6 +261,33 @@ class TestRunTeleport:
             freq = np.mean(outcomes == r)
             sigma = math.sqrt(probs[r] * (1 - probs[r]) / outcomes.size)
             assert abs(freq - probs[r]) < 4 * sigma
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_every_drawn_outcome_agrees_with_table(n):
+    """Seeds are searched until every outcome of weight > 0.01 has been drawn
+    at every receiver; each draw must match its closed-form row. The two
+    routes write outcome 3's collapsed qubit with opposite signs, so the
+    states are compared up to a global phase."""
+    rng = np.random.default_rng(200 + n)
+    sv = random_state(n, rng)
+    for bob in range(n):
+        info = haar_random_info(rng)
+        table = outcome_table(info, schmidt_form(sv, bob))
+        wanted = {rec.outcome for rec in table if rec.prob > 0.01}
+        seen = set()
+        for seed in range(5000):
+            record = run_teleport(info, sv, bob, seed=seed).record
+            row = table[record.outcome]
+            assert abs(record.prob - row.prob) <= 1e-12
+            assert abs(record.fidelity - row.fidelity) <= 1e-12
+            overlap = np.vdot(row.bob_state, record.bob_state)
+            np.testing.assert_allclose(record.bob_state, overlap / abs(overlap) * row.bob_state,
+                                       rtol=0, atol=1e-12)
+            seen.add(record.outcome)
+            if wanted <= seen:
+                break
+        assert wanted <= seen, (bob, wanted - seen)
 
 
 class TestHaarSampling:

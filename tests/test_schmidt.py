@@ -10,6 +10,7 @@ from sqtkit import (
     StateVector,
     WrongQubitCount,
     basis_state,
+    check_3qubit,
     check_general,
     concurrence,
     concurrence_via_density,
@@ -393,3 +394,74 @@ class TestMaf:
             maf(1.5)
         with pytest.raises(OutOfRange):
             maf(-0.2)
+
+
+FORM_FIELDS = ("coeff0", "coeff1", "z", "concurrence")
+FORM_ARRAYS = ("branch0", "branch1", "receiver_basis")
+
+
+def assert_forms_identical(got, want):
+    for name in FORM_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    for name in FORM_ARRAYS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestMemo:
+    """Each StateVector computes its Gram read and Schmidt form once per
+    receiver; the memo changes no result and no refusal."""
+
+    def test_repeated_form_is_the_same_object(self):
+        sv = random_state(5, 1)
+        for bob in range(5):
+            assert schmidt_form(sv, bob) is schmidt_form(sv, bob)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_memoized_results_match_a_fresh_state_bit_for_bit(self, n):
+        sv = random_state(n, 100 + n)
+        for bob in range(n):
+            first = schmidt_form(sv, bob)
+            assert schmidt_form(sv, bob) is first
+            split = split_by_receiver(sv, bob)  # reads the Gram step the form stored
+            assert_forms_identical(first, schmidt_form(StateVector(n, sv.amps), bob))
+            fresh = split_by_receiver(StateVector(n, sv.amps), bob)
+            assert (split.weight0, split.weight1, split.overlap) == (
+                fresh.weight0, fresh.weight1, fresh.overlap)
+
+    def test_split_first_then_form_matches_a_fresh_state(self):
+        sv = random_state(6, 7)
+        for bob in range(6):
+            split_by_receiver(sv, bob)  # stores the Gram step the form then reads
+            assert_forms_identical(schmidt_form(sv, bob), schmidt_form(StateVector(6, sv.amps), bob))
+
+    @pytest.mark.parametrize("bob", [True, 1.0, -1, 4], ids=repr)
+    def test_bad_receiver_is_refused_after_a_hit_on_receiver_one(self, bob):
+        sv = random_state(4, 3)
+        schmidt_form(sv, 1)
+        split_by_receiver(sv, 1)
+        for fn in (schmidt_form, split_by_receiver, concurrence):
+            with pytest.raises(IndexOutOfRange):
+                fn(sv, bob)
+
+    def test_derived_states_start_with_empty_memos(self):
+        sv = random_state(4, 5)
+        for bob in range(4):
+            schmidt_form(sv, bob)
+        assert sv._memo
+        assert permute_qubits(sv, [3, 0, 1, 2])._memo == {}
+        assert new_state(4, sv.amps)._memo == {}
+
+    def test_oracles_read_no_memo(self):
+        sv = random_state(3, 9)
+        want = [(concurrence_via_density(sv, bob), check_3qubit(sv, bob)) for bob in range(3)]
+        for bob in range(3):
+            schmidt_form(sv, bob)
+        poison = object()
+        for key in sv._memo:
+            sv._memo[key] = poison
+        assert schmidt_form(sv, 0) is poison  # the memo is read where it should be
+        for bob in range(3):
+            got = check_3qubit(sv, bob)
+            assert concurrence_via_density(sv, bob) == want[bob][0]
+            assert (got.residual_balance, got.residual_overlap) == (
+                want[bob][1].residual_balance, want[bob][1].residual_overlap)
