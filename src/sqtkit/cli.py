@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from . import families
-from .conditions import check_3qubit, check_general
+from .conditions import VERDICT_TOL, check_3qubit, check_general
 from .errors import ConstraintViolated, InvalidDocument, SqtError
 from .protocol import InfoQubit, average_fidelity_mc, haar_random_info, outcome_table
 from .schmidt import concurrence_via_density, maf, schmidt_form
@@ -141,9 +141,7 @@ def cmd_check(args) -> int:
 
 
 def _parse_info(args) -> InfoQubit:
-    if args.info is None:
-        if not args.haar:
-            raise InvalidDocument("teleport needs --info re0,im0,re1,im1 or --haar (or --samples N)")
+    if args.haar:
         return haar_random_info(args.seed)
     parts = args.info.split(",")
     if len(parts) != 4:
@@ -157,7 +155,7 @@ def _parse_info(args) -> InfoQubit:
 
 def cmd_teleport(args) -> int:
     sv, bob, fields = _open(args)
-    if args.samples:
+    if args.samples is not None:
         est = average_fidelity_mc(sv, bob, args.samples, args.seed)
         form = schmidt_form(sv, bob)
         closed = maf(form.concurrence)
@@ -274,16 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="perfect-teleportation conditions (exit 0 iff they hold)")
     add_io(p_check)
-    p_check.add_argument("--tol", type=_tolerance, default=1e-9, help="verdict tolerance (default 1e-9)")
+    p_check.add_argument("--tol", type=_tolerance, default=VERDICT_TOL,
+                         help=f"verdict tolerance (default {VERDICT_TOL})")
     p_check.set_defaults(func=cmd_check)
 
     p_tel = sub.add_parser("teleport", help="outcome table for a given info qubit, or MC average fidelity")
     add_io(p_tel)
-    p_tel.add_argument("--info", default=None, metavar="RE0,IM0,RE1,IM1",
-                       help="information qubit amplitudes")
-    p_tel.add_argument("--haar", action="store_true", help="draw a Haar-random information qubit")
-    p_tel.add_argument("--samples", type=int, default=0,
-                       help="Monte Carlo sample count for the average fidelity")
+    mode = p_tel.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--info", metavar="RE0,IM0,RE1,IM1", help="information qubit amplitudes")
+    mode.add_argument("--haar", action="store_true", help="draw a Haar-random information qubit")
+    mode.add_argument("--samples", type=int, help="Monte Carlo sample count for the average fidelity")
     p_tel.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p_tel.set_defaults(func=cmd_teleport)
 

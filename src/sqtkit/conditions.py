@@ -18,7 +18,10 @@ import numpy as np
 from .errors import ConstraintViolated, NotNormalized, OutOfRange, WrongQubitCount
 from .families import SQRT_HALF, acin_alternative
 from .schmidt import split_by_receiver
-from .statevec import StateVector, check_qubit_index, move_to_last_perm, permute_qubits
+from .statevec import NORM_TOL, StateVector, check_qubit_index, move_to_last_perm, permute_qubits
+
+# Default tolerance of every verdict here and of `sqtkit check --tol`.
+VERDICT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ def _verdict(balance: float, overlap: float, tol: float) -> PerfectVerdict:
     return PerfectVerdict(balance, overlap, tol, bool(balance < tol and overlap < tol))
 
 
-def check_general(resource: StateVector, bob: int, tol: float = 1e-9) -> PerfectVerdict:
+def check_general(resource: StateVector, bob: int, tol: float = VERDICT_TOL) -> PerfectVerdict:
     """Perfect-teleportation check for any n ≥ 2.
 
     residual_balance = |A² − B²| and residual_overlap = |⟨ψ1|ψ0⟩| from the
@@ -54,7 +57,7 @@ def check_general(resource: StateVector, bob: int, tol: float = 1e-9) -> Perfect
     return _verdict(balance, overlap, tol)
 
 
-def check_3qubit(resource: StateVector, bob: int, tol: float = 1e-9) -> PerfectVerdict:
+def check_3qubit(resource: StateVector, bob: int, tol: float = VERDICT_TOL) -> PerfectVerdict:
     """Three-qubit amplitude form of the perfect-teleportation conditions.
 
     The overlap residual here is the raw (unnormalized) overlap of the blocks,
@@ -96,7 +99,7 @@ def _sqrt_clamped(x: float) -> float:
     return math.sqrt(max(x, 0.0))
 
 
-def classify_zha(kappas, theta: float = 0.0, tol: float = 1e-9) -> ZhaReport:
+def classify_zha(kappas, theta: float = 0.0, tol: float = VERDICT_TOL) -> ZhaReport:
     """Classify canonical parameters (κ0..κ4, θ) against the two perfect
     subfamilies. The phase θ is free in both forms and does not affect
     membership."""
@@ -107,7 +110,7 @@ def classify_zha(kappas, theta: float = 0.0, tol: float = 1e-9) -> ZhaReport:
     if any(v < 0 for v in k):
         raise ConstraintViolated("canonical coefficients must be ≥ 0")
     norm_sq = sum(v * v for v in k)
-    if not abs(norm_sq - 1.0) <= 1e-9:  # negated so that NaN fails too
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # negated so that NaN fails too
         raise NotNormalized(f"Σκ² = {norm_sq} is not 1")
     k0, k1, k2, k3, k4 = k
     res_a = max(k1, abs(k4 - SQRT_HALF), abs(k3 - _sqrt_clamped(0.5 - k0**2 - k2**2)))
@@ -142,7 +145,7 @@ class AcinAltReport:
 
 
 def classify_acin_alt(a: float, b: float, c: float, d: float, f: float,
-                      theta: float = 0.0, tol: float = 1e-9) -> AcinAltReport:
+                      theta: float = 0.0, tol: float = VERDICT_TOL) -> AcinAltReport:
     """Classify alternative canonical parameters (a, b, c, d, f, θ), cross
     checking the d·f = 0 condition against the full perfect-SQT residuals of
     the built state (receiver = qubit 2)."""

@@ -134,12 +134,20 @@ def zha_counterexample(a: float, b: float, theta: float = 0.0, delta: float = 0.
     return new_state(3, amps)
 
 
+def _generator(seed) -> np.random.Generator:
+    """np.random.default_rng(seed), refusing a seed it cannot take with OutOfRange."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRange(f"seed must be None, an integer ≥ 0 or a Generator, got {seed!r}") from exc
+
+
 def random_state(n: int, rng=None) -> StateVector:
     """Haar-random pure state: a normalized complex Gaussian amplitude vector."""
     if not (is_int(n) and n >= 1):
         raise OutOfRange(f"need an integer n ≥ 1, got {n!r}")
     if n > MAX_QUBITS:
         raise TooManyQubits(f"n = {n} exceeds the {MAX_QUBITS}-qubit cap")
-    gen = np.random.default_rng(rng)
+    gen = _generator(rng)
     raw = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
     return StateVector(n, raw / np.linalg.norm(raw))

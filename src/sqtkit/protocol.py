@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalized, OutOfRange
-from .families import SQRT_HALF
+from .families import SQRT_HALF, _generator
 from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
 from .statevec import PAULI_X, PAULI_Z, StateVector, is_int
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
+# Outcome r's (branch paired with information |0⟩, branch paired with |1⟩, sign)
+_OUTCOMES = ((0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1))
 # Haar samples drawn and reduced at a time by average_fidelity_mc, which
 # bounds its memory whatever the sample count: the tracemalloc peak of one
 # full chunk is 50 MB (48 MiB), the 32 MiB of normals plus two weight arrays.
@@ -86,23 +88,26 @@ def measurement_basis(form: SchmidtForm) -> tuple[np.ndarray, ...]:
     """The four orthonormal sender states over (information qubit, n−1
     resource qubits), built from the Schmidt branches as read-only arrays:
     Ψ(0,1) = (|0⟩|branch0⟩ ± |1⟩|branch1⟩)/√2 and
-    Ψ(2,3) = (|0⟩|branch1⟩ ± |1⟩|branch0⟩)/√2."""
-    b0, b1 = form.branch0, form.branch1
-    pairs = ((b0, b1), (b0, -b1), (b1, b0), (b1, -b0))
+    Ψ(2,3) = (|0⟩|branch1⟩ ± |1⟩|branch0⟩)/√2. They are the reference the
+    explicit run is tested against: :func:`run_teleport` projects onto them
+    without building them."""
+    b = form.branch0, form.branch1
+    pairs = [(b[i], b[j] if sign > 0 else -b[j]) for i, j, sign in _OUTCOMES]
     states = SQRT_HALF * np.array([np.concatenate(pair) for pair in pairs])
     states.flags.writeable = False  # the rows handed out are read-only views of it
     return tuple(states)
 
 
 def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
-    """Receiver correction for an outcome: U†, then σz for outcomes 1 and 3,
-    then σx for outcomes 2 and 3."""
-    if not 0 <= outcome <= 3:
-        raise OutOfRange(f"outcome must be 0..3, got {outcome}")
+    """Receiver correction for an outcome: U†, then σz if its sign is − (outcomes
+    1 and 3), then σx if it swaps the branches (outcomes 2 and 3)."""
+    if not (is_int(outcome) and 0 <= outcome <= 3):
+        raise OutOfRange(f"outcome must be an integer in 0..3, got {outcome!r}")
+    i, _, sign = _OUTCOMES[outcome]
     m = receiver_basis.conj().T
-    if outcome in (1, 3):
+    if sign < 0:
         m = PAULI_Z @ m
-    if outcome in (2, 3):
+    if i != 0:
         m = PAULI_X @ m
     return m
 
@@ -120,7 +125,7 @@ def outcome_table(info: InfoQubit, form: SchmidtForm) -> list[OutcomeRecord]:
     With weights (p, 1−p) = (|amp0|², |amp1|²) and coefficients (Ā, B̄):
     P(0) = P(1) = ½(p·Ā² + (1−p)·B̄²), P(2) = P(3) = ½((1−p)·Ā² + p·B̄²);
     the collapsed receiver states carry amplitudes (amp0·Ā, ±amp1·B̄) or
-    (amp1·Ā, ±amp0·B̄) in the rotated basis, and after correction the
+    (±amp1·Ā, amp0·B̄) in the rotated basis, and after correction the
     fidelity is (p·Ā + (1−p)·B̄)²/(2P(0)) for outcomes 0, 1 and its mirror
     for 2, 3.
     """
@@ -132,7 +137,7 @@ def outcome_table(info: InfoQubit, form: SchmidtForm) -> list[OutcomeRecord]:
     f01 = _fidelity_from(pa * ca + pb * cb, p01)
     f23 = _fidelity_from(pb * ca + pa * cb, p23)
     pairs = []
-    for top, bottom in ((a * ca, b * cb), (a * ca, -b * cb), (b * ca, a * cb), (b * ca, -a * cb)):
+    for top, bottom in ((a * ca, b * cb), (a * ca, -b * cb), (b * ca, a * cb), (-b * ca, a * cb)):
         norm = math.hypot(abs(top), abs(bottom))
         # an outcome of probability zero collapses to nothing; report |0̄⟩
         pairs.append((top / norm, bottom / norm) if norm > 1e-15 else (1.0, 0.0))
@@ -158,10 +163,9 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
 
     The joint state (info qubit first, receiver last) has the receiver blocks
     [amp0·M; amp1·M], M being the resource's. The basis states of
-    :func:`measurement_basis` pair the branches b0, b1 as (top, bottom), so
-    with the branch rows p = (1/√2)·[b0; b1]^*·M outcome r projects the joint
-    state to amp0·p_top + amp1·p_bottom, (p_top, p_bottom) being (p0, p1),
-    (p0, −p1), (p1, p0) and (p1, −p0); neither the (n+1)-qubit joint vector
+    :func:`measurement_basis` pair branches b_i, b_j with information |0⟩, |1⟩,
+    so with the branch rows p = (1/√2)·[b0; b1]^*·M outcome r projects the
+    joint state to amp0·p_i ± amp1·p_j; neither the (n+1)-qubit joint vector
     nor the basis states are built. The outcome is drawn from the exact Born
     weights with a seeded generator, so identical arguments reproduce
     identical runs. The correction matrix is unitary by construction and is
@@ -169,16 +173,12 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     """
     form = schmidt_form(resource, bob)
     rows = SQRT_HALF * np.array((form.branch0, form.branch1)).conj()
-    p0, p1 = (rows @ _receiver_blocks(resource, bob)).tolist()
+    p = (rows @ _receiver_blocks(resource, bob)).tolist()
     a0, a1 = info.amp0, info.amp1
-    proj = (
-        [a0 * x + a1 * y for x, y in zip(p0, p1)],
-        [a0 * x - a1 * y for x, y in zip(p0, p1)],
-        [a0 * y + a1 * x for x, y in zip(p0, p1)],
-        [a0 * y - a1 * x for x, y in zip(p0, p1)],
-    )
+    proj = [[a0 * x + a1 * y if sign > 0 else a0 * x - a1 * y for x, y in zip(p[i], p[j])]
+            for i, j, sign in _OUTCOMES]
     probs = [abs(u) ** 2 + abs(v) ** 2 for u, v in proj]
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     r = _draw_outcome(probs, rng)
     collapsed = np.array(proj[r]) / math.sqrt(probs[r])
     final = correction_matrix(r, form.receiver_basis) @ collapsed
@@ -215,7 +215,7 @@ def haar_info_samples(count: int, rng=None) -> np.ndarray:
     """
     if not (is_int(count) and count >= 1):
         raise OutOfRange(f"count must be an integer ≥ 1, got {count!r}")
-    x = _haar_normals(count, np.random.default_rng(rng))
+    x = _haar_normals(count, _generator(rng))
     raw = x[0] + 1j * x[1]
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
@@ -241,7 +241,7 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
         raise OutOfRange(f"samples must be an integer in 1..{MC_MAX_SAMPLES}, got {samples!r}")
     form = schmidt_form(resource, bob)
     ca, cb = form.coeff0, form.coeff1
-    gen = np.random.default_rng(seed)
+    gen = _generator(seed)
     # Chunks of at most MC_CHUNK draws from one generator, merged exactly
     # (Chan et al.): with a single chunk the result is values.mean() and
     # values.std(ddof=1)/√samples bit for bit.

@@ -181,7 +181,26 @@ class TestTeleport:
         assert main(["teleport", ghz_file, "--info", "1,0,1,0"]) == 2
 
     def test_missing_info_exit_two(self, ghz_file):
-        assert main(["teleport", ghz_file]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["teleport", ghz_file])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("modes", [["--info=1,0,0,0", "--haar"], ["--haar", "--samples", "10"],
+                                       ["--info=1,0,0,0", "--samples", "10"],
+                                       ["--info=1,0,0,0", "--haar", "--samples", "10"]],
+                             ids=["info-haar", "haar-samples", "info-samples", "all-three"])
+    def test_modes_are_exclusive(self, ghz_file, capsys, modes):
+        with pytest.raises(SystemExit) as exc:
+            main(["teleport", ghz_file, *modes])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_non_positive_samples_exit_two(self, ghz_file, capsys, samples):
+        assert main(["teleport", ghz_file, "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: samples must be an integer")
 
     def test_nan_info_exit_two(self, ghz_file):
         assert main(["teleport", ghz_file, "--info", "nan,0,1,0"]) == 2

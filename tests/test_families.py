@@ -217,6 +217,17 @@ class TestRandomState:
         with pytest.raises(OutOfRange):
             random_state(n, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x"], ids=repr)
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(OutOfRange, match="seed"):
+            random_state(3, seed)
+
+    def test_seed_forms_give_the_same_state(self):
+        random_state(3, None)
+        reference = random_state(3, 7).amps
+        for seed in (np.int64(7), np.random.default_rng(7)):
+            np.testing.assert_array_equal(random_state(3, seed).amps, reference)
+
 
 def test_every_constructor_is_exactly_normalized():
     # parameterizations are algebraically normalized, so the raw vectors come

@@ -190,6 +190,18 @@ class TestOutcomeTable:
         assert table[2].fidelity == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("outcome", [1.5, True, np.float64(2.0), -1, 4], ids=repr)
+def test_correction_matrix_refuses_non_outcomes(outcome):
+    with pytest.raises(OutOfRange):
+        correction_matrix(outcome, np.eye(2))
+
+
+def test_correction_matrix_takes_numpy_outcomes():
+    basis = schmidt_form(standard_w(), 2).receiver_basis
+    for r in range(4):
+        np.testing.assert_array_equal(correction_matrix(np.int64(r), basis), correction_matrix(r, basis))
+
+
 class TestRunTeleport:
     def test_perfect_resource_any_seed(self):
         rng = np.random.default_rng(1)
@@ -266,9 +278,8 @@ class TestRunTeleport:
 @pytest.mark.parametrize("n", range(2, 13))
 def test_every_drawn_outcome_agrees_with_table(n):
     """Seeds are searched until every outcome of weight > 0.01 has been drawn
-    at every receiver; each draw must match its closed-form row. The two
-    routes write outcome 3's collapsed qubit with opposite signs, so the
-    states are compared up to a global phase."""
+    at every receiver; each draw must match its closed-form row, the
+    collapsed qubit element by element."""
     rng = np.random.default_rng(200 + n)
     sv = random_state(n, rng)
     for bob in range(n):
@@ -281,13 +292,35 @@ def test_every_drawn_outcome_agrees_with_table(n):
             row = table[record.outcome]
             assert abs(record.prob - row.prob) <= 1e-12
             assert abs(record.fidelity - row.fidelity) <= 1e-12
-            overlap = np.vdot(row.bob_state, record.bob_state)
-            np.testing.assert_allclose(record.bob_state, overlap / abs(overlap) * row.bob_state,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(record.bob_state, row.bob_state, rtol=0, atol=1e-12)
             seen.add(record.outcome)
             if wanted <= seen:
                 break
         assert wanted <= seen, (bob, wanted - seen)
+
+
+SEEDED_CALLS = {
+    "run_teleport": lambda seed: run_teleport(haar_random_info(1), standard_w(), 2, seed=seed).final_state,
+    "average_fidelity_mc": lambda seed: average_fidelity_mc(standard_w(), 2, 100, seed).mean,
+    "haar_info_samples": lambda seed: haar_info_samples(3, seed),
+    "haar_random_info": lambda seed: haar_random_info(seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x"], ids=repr)
+@pytest.mark.parametrize("name", SEEDED_CALLS)
+def test_bad_seed_is_refused(name, seed):
+    with pytest.raises(OutOfRange, match="seed"):
+        SEEDED_CALLS[name](seed)
+
+
+@pytest.mark.parametrize("name", SEEDED_CALLS)
+def test_seed_forms_give_the_same_draws(name):
+    call = SEEDED_CALLS[name]
+    call(None)
+    reference = call(7)
+    for seed in (np.int64(7), np.random.default_rng(7)):
+        np.testing.assert_array_equal(call(seed), reference)
 
 
 class TestHaarSampling:
