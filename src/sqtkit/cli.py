@@ -142,7 +142,9 @@ def cmd_check(args) -> int:
 
 def _parse_info(args) -> InfoQubit:
     if args.haar:
-        return haar_random_info(args.seed)
+        return haar_random_info(args.seed or 0)
+    if args.seed is not None:
+        raise InvalidDocument("--seed is read by --haar and --samples only; --info draws nothing")
     parts = args.info.split(",")
     if len(parts) != 4:
         raise InvalidDocument("--info needs four comma-separated numbers: re0,im0,re1,im1")
@@ -156,7 +158,7 @@ def _parse_info(args) -> InfoQubit:
 def cmd_teleport(args) -> int:
     sv, bob, fields = _open(args)
     if args.samples is not None:
-        est = average_fidelity_mc(sv, bob, args.samples, args.seed)
+        est = average_fidelity_mc(sv, bob, args.samples, args.seed or 0)
         form = schmidt_form(sv, bob)
         closed = maf(form.concurrence)
         fields.update(samples=est.samples, estimate=est.mean, stderr=est.stderr,
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--info", metavar="RE0,IM0,RE1,IM1", help="information qubit amplitudes")
     mode.add_argument("--haar", action="store_true", help="draw a Haar-random information qubit")
     mode.add_argument("--samples", type=int, help="Monte Carlo sample count for the average fidelity")
-    p_tel.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
+    p_tel.add_argument("--seed", type=_seed, default=None, help="RNG seed for --haar/--samples (default 0)")
     p_tel.set_defaults(func=cmd_teleport)
 
     p_gen = sub.add_parser("gen", help="generate a named family state document")

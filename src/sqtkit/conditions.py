@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolated, NotNormalized, OutOfRange, WrongQubitCount
+from .errors import ConstraintViolated, OutOfRange, WrongQubitCount
 from .families import SQRT_HALF, acin_alternative
 from .schmidt import split_by_receiver
-from .statevec import NORM_TOL, StateVector, check_qubit_index, move_to_last_perm, permute_qubits
+from .statevec import StateVector, check_qubit_index, check_unit_norm, move_to_last_perm, permute_qubits
 
 # Default tolerance of every verdict here and of `sqtkit check --tol`.
 VERDICT_TOL = 1e-9
@@ -109,9 +109,7 @@ def classify_zha(kappas, theta: float = 0.0, tol: float = VERDICT_TOL) -> ZhaRep
         raise ConstraintViolated(f"expected 5 canonical coefficients, got {len(k)}")
     if any(v < 0 for v in k):
         raise ConstraintViolated("canonical coefficients must be ≥ 0")
-    norm_sq = sum(v * v for v in k)
-    if not abs(norm_sq - 1.0) <= NORM_TOL:  # negated so that NaN fails too
-        raise NotNormalized(f"Σκ² = {norm_sq} is not 1")
+    check_unit_norm(math.hypot(*k))
     k0, k1, k2, k3, k4 = k
     res_a = max(k1, abs(k4 - SQRT_HALF), abs(k3 - _sqrt_clamped(0.5 - k0**2 - k2**2)))
     res_b = max(k0, abs(k3 - _sqrt_clamped(0.5 - k2**2)), abs(k4 - _sqrt_clamped(0.5 - k1**2)))

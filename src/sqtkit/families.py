@@ -135,8 +135,10 @@ def zha_counterexample(a: float, b: float, theta: float = 0.0, delta: float = 0.
 
 
 def _generator(seed) -> np.random.Generator:
-    """np.random.default_rng(seed), refusing a seed it cannot take with OutOfRange."""
+    """np.random.default_rng(seed), refusing with OutOfRange a seed it cannot take or a bool."""
     try:
+        if isinstance(seed, bool):  # numpy would take it as 0 or 1; is_int refuses it too
+            raise TypeError("a bool is not a seed")
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise OutOfRange(f"seed must be None, an integer ≥ 0 or a Generator, got {seed!r}") from exc

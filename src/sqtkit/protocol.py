@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized, OutOfRange
+from .errors import OutOfRange
 from .families import SQRT_HALF, _generator
 from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
-from .statevec import PAULI_X, PAULI_Z, StateVector, is_int
+from .statevec import PAULI_X, PAULI_Z, StateVector, is_int, new_state
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 # Outcome r's (branch paired with information |0⟩, branch paired with |1⟩, sign)
@@ -37,22 +37,15 @@ MC_MAX_SAMPLES = 1 << 30
 
 @dataclass(frozen=True)
 class InfoQubit:
-    """Single-qubit information state amp0·|0⟩ + amp1·|1⟩."""
+    """Single-qubit information state amp0·|0⟩ + amp1·|1⟩, checked and renormalized by `new_state`."""
 
     amp0: complex
     amp1: complex
 
     def __post_init__(self):
-        amp0, amp1 = complex(self.amp0), complex(self.amp1)
-        try:  # x * x overflows to inf where x ** 2 raises; abs raises past ~1.8e308
-            norm_sq = abs(amp0) * abs(amp0) + abs(amp1) * abs(amp1)
-        except OverflowError:
-            norm_sq = math.inf
-        if not abs(norm_sq - 1.0) <= 1e-10:  # negated so that NaN fails too
-            raise NotNormalized(f"|amp0|² + |amp1|² = {norm_sq} is not 1")
-        norm = math.sqrt(norm_sq)
-        object.__setattr__(self, "amp0", amp0 / norm)
-        object.__setattr__(self, "amp1", amp1 / norm)
+        amp0, amp1 = new_state(1, (self.amp0, self.amp1)).amps.tolist()
+        object.__setattr__(self, "amp0", amp0)
+        object.__setattr__(self, "amp1", amp1)
 
 
 @dataclass(frozen=True, eq=False)

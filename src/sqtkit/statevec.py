@@ -6,9 +6,11 @@ for n = 3 the amplitude at index 0b011 belongs to |011⟩ (qubit 0 in state 0,
 qubits 1 and 2 in state 1). The receiver's qubit defaults to index n − 1.
 
 A `StateVector` holds checked input only: amplitudes from outside, or from
-`new_state`, `basis_state`, `permute_qubits` and `random_state`. Vectors that
-the analysis and the protocol derive are plain read-only complex arrays. All
-functions here are pure, and every stored amplitude array is read-only.
+`new_state`, `basis_state`, `permute_qubits` and `random_state`. Each
+construction refuses a norm further than `NORM_TOL` from one, or NaN, through
+`check_unit_norm`, the package's one unit-norm gate. Vectors that the analysis
+and the protocol derive are plain read-only complex arrays. All functions here
+are pure, and every stored amplitude array is read-only.
 
 Because the amplitudes never change, a `StateVector` also carries a private
 memo in which `sqtkit.schmidt` keeps its receiver analyses (the Gram read and
@@ -45,9 +47,10 @@ for _m in (PAULI_X, PAULI_Z):
 class StateVector:
     """Checked amplitude vector over 2**n basis states.
 
-    Build through :func:`new_state`, which checks and renormalizes. The bare
-    constructor checks only n and the shape, and copies unit-norm input; the
-    analysis and the protocol never wrap the vectors they derive in it.
+    The constructor checks n, the shape and the norm (within `NORM_TOL` of
+    one, NaN refused) and copies its input; :func:`new_state` also
+    renormalizes exactly. The analysis and the protocol never wrap the vectors
+    they derive in it.
     """
 
     n: int
@@ -64,9 +67,10 @@ class StateVector:
             )
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
+        check_unit_norm(self.norm())
 
     def norm(self) -> float:
-        # vdot raises no numpy overflow warning: huge amplitudes give inf
+        # vdot raises no numpy overflow warning: huge amplitudes give inf or NaN
         return math.sqrt(np.vdot(self.amps, self.amps).real)
 
     def tensor_view(self) -> np.ndarray:
@@ -75,21 +79,21 @@ class StateVector:
 
 
 def new_state(n: int, amps) -> StateVector:
-    """Validate a raw amplitude vector and return it exactly renormalized.
-
-    The norm must already be within 1e-9 of one; inputs further off are
-    treated as genuinely unnormalized data and rejected.
-    """
+    """Validate a raw amplitude vector as :class:`StateVector` does, refusing a
+    norm further than 1e-9 from one, and return it exactly renormalized."""
     sv = StateVector(n, amps)
-    norm = sv.norm()
-    if not abs(norm - 1.0) <= NORM_TOL:  # negated so that a NaN norm fails too
-        raise NotNormalized(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
     # the constructor's copy is not yet shared: renormalize it in place
     amps = sv.amps
     amps.flags.writeable = True
-    amps /= norm
+    amps /= sv.norm()
     amps.flags.writeable = False
     return sv
+
+
+def check_unit_norm(norm: float) -> None:
+    """Refuse a norm further than NORM_TOL from one, NaN included."""
+    if not abs(norm - 1.0) <= NORM_TOL:  # negated so that a NaN norm fails too
+        raise NotNormalized(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
 
 
 def basis_state(n: int, index: int) -> StateVector:

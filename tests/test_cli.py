@@ -205,8 +205,9 @@ class TestTeleport:
     def test_nan_info_exit_two(self, ghz_file):
         assert main(["teleport", ghz_file, "--info", "nan,0,1,0"]) == 2
 
-    @pytest.mark.parametrize("info", ["1e200,0,0,0", "1.7e308,1.7e308,0,0"])
-    def test_overflowing_info_prints_only_the_error(self, ghz_file, info):
+    @pytest.mark.parametrize("info, norm", [("1e200,0,0,0", "inf"), ("1.7e308,1.7e308,0,0", "nan")],
+                             ids=["1e200,0,0,0", "1.7e308,1.7e308,0,0"])
+    def test_overflowing_info_prints_only_the_error(self, ghz_file, info, norm):
         # a subprocess, so that a numpy RuntimeWarning would reach stderr
         env = dict(os.environ, PYTHONPATH=str(Path(sqtkit.__file__).parents[1]))
         proc = subprocess.run(
@@ -214,7 +215,7 @@ class TestTeleport:
             capture_output=True, text=True, env=env, check=False,
         )
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == ["error: |amp0|² + |amp1|² = inf is not 1"]
+        assert proc.stderr.splitlines() == [f"error: state norm {norm} deviates from 1 by more than 1e-09"]
 
 
 class TestGen:
@@ -392,3 +393,52 @@ def test_negative_seed_usage_error(argv, ghz_file):
     with pytest.raises(SystemExit) as exc:
         main([ghz_file if a == "DOC" else a for a in argv] + ["--seed", "-1"])
     assert exc.value.code == 2
+
+
+GHZ2_PAIRS = '[[0.7071067811865476, 0], [0, 0], [0, 0], [0.7071067811865476, 0]]'
+
+
+@pytest.mark.parametrize("doc, extra", [
+    ('[1, 2]', []),
+    ('{"n": 2.0, "amplitudes": %s}' % GHZ2_PAIRS, []),
+    ('{"n": true, "amplitudes": %s}' % GHZ2_PAIRS, []),
+    ('{"n": 2, "amplitudes": {"0": [1, 0]}}', []),
+    ('{"n": 2, "amplitudes": %s, "bob": 1.5}' % GHZ2_PAIRS, []),
+    ('{"n": 2, "amplitudes": %s, "label": 3}' % GHZ2_PAIRS, []),
+    ('{"n": 2, "amplitudes": %s}' % GHZ2_PAIRS, ["--info=1,0,0"]),
+    ('{"n": 2, "amplitudes": %s}' % GHZ2_PAIRS, ["--info=1,0,0,0,0"]),
+    ('{"n": 2, "amplitudes": %s}' % GHZ2_PAIRS, ["--info=a,0,1,0"]),
+], ids=["top-level-list", "float-n", "bool-n", "object-amplitudes", "float-bob", "int-label",
+        "info-three-fields", "info-five-fields", "info-not-a-number"])
+def test_cli_refusal_prints_one_error_line(doc, extra, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(doc, encoding="utf-8")
+    command = "teleport" if extra else "analyze"
+    assert main([command, str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_info_refuses_seed(ghz_file, capsys, seed):
+    assert main(["teleport", ghz_file, "--info=1,0,0,0", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --seed is read by --haar and --samples only; --info draws nothing"]
+
+
+@pytest.mark.parametrize("mode", [["--haar"], ["--samples", "1000"]], ids=["haar", "samples"])
+def test_absent_seed_draws_with_seed_zero(w_file, capsys, mode):
+    assert main(["teleport", w_file, *mode, "--format", "json"]) == 0
+    absent = capsys.readouterr().out
+    assert main(["teleport", w_file, *mode, "--format", "json", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == absent
+
+
+def test_check_tol_loosens_the_verdict(tmp_path):
+    # |a001|² = 1/2 + 5e-9 puts the balance residual at 1e-8
+    side = math.sqrt((0.5 - 5e-9) / 2)
+    path = write_doc(tmp_path / "w.json", 3, [0, math.sqrt(0.5 + 5e-9), side, 0, side, 0, 0, 0])
+    assert main(["check", path]) == 1
+    assert main(["check", path, "--tol", "1e-6"]) == 0

@@ -217,7 +217,7 @@ class TestRandomState:
         with pytest.raises(OutOfRange):
             random_state(n, 0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "x"], ids=repr)
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True, False], ids=repr)
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(OutOfRange, match="seed"):
             random_state(3, seed)

@@ -159,7 +159,7 @@ class TestOutcomeTable:
                 assert abs(np.linalg.norm(rec.bob_state) - 1.0) < 1e-12
 
     def test_edge_of_tolerance_info_still_conserves_probability(self):
-        # amplitudes admitted at the 1e-10 gate are renormalized exactly
+        # amplitudes admitted by the unit-norm gate are renormalized exactly
         info = InfoQubit(0.6 * (1 + 4e-11), 0.8)
         table = outcome_table(info, schmidt_form(standard_w(), 2))
         assert abs(sum(rec.prob for rec in table) - 1.0) < 1e-12
@@ -307,7 +307,7 @@ SEEDED_CALLS = {
 }
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "x"], ids=repr)
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, False], ids=repr)
 @pytest.mark.parametrize("name", SEEDED_CALLS)
 def test_bad_seed_is_refused(name, seed):
     with pytest.raises(OutOfRange, match="seed"):

@@ -11,11 +11,13 @@ from sqtkit import (
     PAULI_Z,
     DimensionMismatch,
     IndexOutOfRange,
+    InfoQubit,
     InvalidPermutation,
     NotNormalized,
     StateVector,
     TooManyQubits,
     basis_state,
+    classify_zha,
     move_to_last_perm,
     new_state,
     permute_qubits,
@@ -98,6 +100,34 @@ class TestNewState:
         sv = new_state(1, [1, 0])
         with pytest.raises(ValueError):
             sv.amps[0] = 0.0
+
+
+@pytest.mark.parametrize("n, amps", [(3, np.ones(8)), (3, np.full(8, np.nan)), (1, [1e200, 0])],
+                         ids=["norm-sqrt8", "nan", "overflow"])
+def test_bare_constructor_refuses_a_non_unit_norm(n, amps):
+    with pytest.raises(NotNormalized):
+        StateVector(n, amps)
+
+
+# Every unit-norm gate of the package, fed a vector of norm `scale`
+NORM_GATES = {
+    "StateVector": lambda scale: StateVector(2, [scale * SQRT_HALF, 0, 0, scale * SQRT_HALF]),
+    "new_state": lambda scale: new_state(2, [scale * SQRT_HALF, 0, 0, scale * SQRT_HALF]),
+    "InfoQubit": lambda scale: InfoQubit(0.6 * scale, 0.8j * scale),
+    "classify_zha": lambda scale: classify_zha([0.5 * scale] * 4 + [0.0]),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(NORM_GATES))
+@pytest.mark.parametrize("offset, admitted", [(0.9e-9, True), (-0.9e-9, True), (1.1e-9, False), (-1.1e-9, False)])
+def test_unit_norm_gate_edge(gate, offset, admitted):
+    # one rule everywhere: |‖a‖ − 1| ≤ NORM_TOL = 1e-9
+    build = NORM_GATES[gate]
+    if admitted:
+        build(1.0 + offset)
+    else:
+        with pytest.raises(NotNormalized):
+            build(1.0 + offset)
 
 
 NON_INTEGERS = [True, 1.0, np.float64(1.0)]
