@@ -195,38 +195,39 @@ def _qubit_count(x: float) -> int:
     return int(x)
 
 
-# family -> (parameter names, builder from (parameters, parsed arguments))
-FAMILY_PARAMS = {
-    "ghz": (("n",), lambda p, args: families.ghz(_qubit_count(p[0]))),
-    "w": (("a100", "a010", "a001"), lambda p, args: families.w_general(*p)),
-    "separable": (("a", "b"), lambda p, args: families.separable_branch_family(*p)),
-    "schmidt": (("a", "b", "beta", "kappa"), lambda p, args: families.schmidt_branch_family(*p)),
-    "acin": (("k0", "k1", "k2", "k3", "k4"),
-             lambda p, args: families.acin_canonical(*p, args.theta)),
-    "acinalt": (("a", "b", "c", "d", "f"),
-                lambda p, args: families.acin_alternative(*p, args.theta)),
-    "counterexample": (("a", "b"), lambda p, args: families.zha_counterexample(
-        *p, args.theta, args.delta, args.gamma)),
-    "random": (("n",), lambda p, args: families.random_state(_qubit_count(p[0]), args.seed)),
+# family -> (builder in `families`, parameter names, gen flags read), in the builder's argument order
+FAMILIES = {
+    "ghz": ("ghz", ("n",), ()),
+    "w": ("w_general", ("a100", "a010", "a001"), ()),
+    "separable": ("separable_branch_family", ("a", "b"), ()),
+    "schmidt": ("schmidt_branch_family", ("a", "b", "beta", "kappa"), ()),
+    "acin": ("acin_canonical", ("k0", "k1", "k2", "k3", "k4"), ("theta",)),
+    "acinalt": ("acin_alternative", ("a", "b", "c", "d", "f"), ("theta",)),
+    "counterexample": ("zha_counterexample", ("a", "b"), ("theta", "delta", "gamma")),
+    "random": ("random_state", ("n",), ("seed",)),
 }
 
 
-def _build_family(args) -> StateVector:
+def _build_family(args) -> tuple[StateVector, str]:
+    """The state and label of `gen`: parameters in order, then the flags the family reads."""
     family = args.family
-    names, build = FAMILY_PARAMS[family]
+    builder, names, reads = FAMILIES[family]
     if len(args.params) != len(names):
-        raise ConstraintViolated(
-            f"family '{family}' takes {len(names)} parameter(s) {names}, got {len(args.params)}"
-        )
-    return build(args.params, args)
+        raise ConstraintViolated(f"family '{family}' takes {len(names)} parameter(s) {names}, "
+                                 f"got {len(args.params)}")
+    given = {flag: getattr(args, flag) for flag in GEN_FLAGS if getattr(args, flag) is not None}
+    unread = [f"--{flag}" for flag in given if flag not in reads]
+    if unread:
+        raise ConstraintViolated(f"family '{family}' does not read {', '.join(unread)}")
+    values = [_qubit_count(p) if name == "n" else p for name, p in zip(names, args.params)]
+    flags = [given.get(flag, 0) for flag in reads]
+    label = f"{family}({', '.join(map(repr, values))})"
+    return getattr(families, builder)(*values, *flags), label
 
 
 def cmd_gen(args) -> int:
-    sv = _build_family(args)
-    shown = [str(int(p)) if args.family in ("ghz", "random") else repr(p) for p in args.params]
-    label = f"{args.family}({', '.join(shown)})"
-    doc = document_dict(sv, sv.n - 1, label)
-    text = json.dumps(doc)
+    sv, label = _build_family(args)
+    text = json.dumps(document_dict(sv, sv.n - 1, label))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -248,6 +249,11 @@ def _seed(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
     return value
+
+
+# gen flag -> (argument type, meaning); an absent flag stands for 0
+GEN_FLAGS = {"theta": (float, "phase θ (radians)"), "delta": (float, "phase δ (radians)"),
+             "gamma": (float, "phase γ (radians)"), "seed": (_seed, "RNG seed")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tel.set_defaults(func=cmd_teleport)
 
     p_gen = sub.add_parser("gen", help="generate a named family state document")
-    p_gen.add_argument("family", choices=sorted(FAMILY_PARAMS))
+    p_gen.add_argument("family", choices=sorted(FAMILIES))
     p_gen.add_argument("params", type=float, nargs="*", help="family parameters (see README)")
-    p_gen.add_argument("--theta", type=float, default=0.0, help="phase parameter (radians)")
-    p_gen.add_argument("--delta", type=float, default=0.0, help="phase parameter (radians)")
-    p_gen.add_argument("--gamma", type=float, default=0.0, help="phase parameter (radians)")
-    p_gen.add_argument("--seed", type=_seed, default=0, help="RNG seed for family 'random'")
+    for flag, (kind, meaning) in GEN_FLAGS.items():
+        readers = ", ".join(family for family, row in FAMILIES.items() if flag in row[2])
+        p_gen.add_argument(f"--{flag}", type=kind, default=None,
+                           help=f"{meaning} for {readers} only (default 0)")
     p_gen.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
     p_gen.set_defaults(func=cmd_gen)
     return parser

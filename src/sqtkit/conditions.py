@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolated, OutOfRange, WrongQubitCount
-from .families import SQRT_HALF, acin_alternative
+from .families import SQRT_HALF, acin_alternative, check_phase
 from .schmidt import split_by_receiver
-from .statevec import StateVector, check_qubit_index, check_unit_norm, move_to_last_perm, permute_qubits
+from .statevec import (StateVector, check_qubit_index, check_unit_norm, is_real, move_to_last_perm,
+                       permute_qubits)
 
 # Default tolerance of every verdict here and of `sqtkit check --tol`.
 VERDICT_TOL = 1e-9
@@ -35,7 +36,7 @@ class PerfectVerdict:
 
 
 def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
+    if not (is_real(tol) and 0.0 < tol < math.inf):
         raise OutOfRange(f"tolerance must be positive and finite, got {tol!r}")
 
 
@@ -102,7 +103,7 @@ def _sqrt_clamped(x: float) -> float:
 def classify_zha(kappas, theta: float = 0.0, tol: float = VERDICT_TOL) -> ZhaReport:
     """Classify canonical parameters (κ0..κ4, θ) against the two perfect
     subfamilies. The phase θ is free in both forms and does not affect
-    membership."""
+    membership, but it must be a finite real number."""
     _check_tol(tol)
     k = [float(v) for v in kappas]
     if len(k) != 5:
@@ -110,6 +111,7 @@ def classify_zha(kappas, theta: float = 0.0, tol: float = VERDICT_TOL) -> ZhaRep
     if any(v < 0 for v in k):
         raise ConstraintViolated("canonical coefficients must be ≥ 0")
     check_unit_norm(math.hypot(*k))
+    check_phase("theta", theta)
     k0, k1, k2, k3, k4 = k
     res_a = max(k1, abs(k4 - SQRT_HALF), abs(k3 - _sqrt_clamped(0.5 - k0**2 - k2**2)))
     res_b = max(k0, abs(k3 - _sqrt_clamped(0.5 - k2**2)), abs(k4 - _sqrt_clamped(0.5 - k1**2)))

@@ -3,8 +3,8 @@ CLI `gen` command.
 
 Each constructor takes its family's parameterization verbatim (including the
 redundant square-root terms), so a violated constraint raises instead of
-being silently renormalized. All phases are radians; the receiver is the
-last qubit unless noted.
+being silently renormalized. All phases are radians and must be finite real
+numbers; the receiver is the last qubit unless noted.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConstraintViolated, OutOfRange, TooManyQubits
-from .statevec import MAX_QUBITS, StateVector, is_int, new_state
+from .statevec import MAX_QUBITS, StateVector, is_int, is_real, new_state
 
 SQRT_HALF = math.sqrt(0.5)
 CONSTRAINT_SLACK = 1e-12
@@ -32,16 +32,34 @@ def ghz(n: int) -> StateVector:
     return new_state(n, amps)
 
 
+def _three_qubit(pattern: dict) -> StateVector:
+    """new_state(3, ·) of the amplitudes {basis index: amplitude}, zero elsewhere."""
+    amps = np.zeros(8, dtype=complex)
+    for index, amp in pattern.items():
+        amps[index] = amp
+    return new_state(3, amps)
+
+
+def check_phase(name: str, value) -> None:
+    """Refuse with OutOfRange a phase that is not a finite real number, bool included."""
+    if not (is_real(value) and math.isfinite(value)):
+        raise OutOfRange(f"phase {name} must be a finite real number, got {value!r}")
+
+
+def _half_rest(a: float, b: float) -> float:
+    """√(1/2 − a² − b²), refusing a² + b² > 1/2 beyond CONSTRAINT_SLACK."""
+    rest = 0.5 - a * a - b * b
+    if rest < -CONSTRAINT_SLACK:
+        raise ConstraintViolated(f"a² + b² must be ≤ 1/2, got {a * a + b * b}")
+    return math.sqrt(max(rest, 0.0))
+
+
 def w_general(a100: complex, a010: complex, a001: complex) -> StateVector:
     """W-type state a100·|100⟩ + a010·|010⟩ + a001·|001⟩.
 
     Teleports one qubit perfectly to qubit 2 iff |a100|² + |a010|² = |a001|² = 1/2.
     """
-    amps = np.zeros(8, dtype=complex)
-    amps[0b100] = a100
-    amps[0b010] = a010
-    amps[0b001] = a001
-    return new_state(3, amps)
+    return _three_qubit({0b100: a100, 0b010: a010, 0b001: a001})
 
 
 def separable_branch_family(a: float, b: float) -> StateVector:
@@ -50,15 +68,7 @@ def separable_branch_family(a: float, b: float) -> StateVector:
     The receiver-|1⟩ branch is the product |11⟩ and both perfect-SQT
     conditions hold by construction. Requires a² + b² ≤ 1/2.
     """
-    rest = 0.5 - a * a - b * b
-    if rest < -CONSTRAINT_SLACK:
-        raise ConstraintViolated(f"a² + b² must be ≤ 1/2, got {a * a + b * b}")
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = a
-    amps[0b010] = b
-    amps[0b100] = math.sqrt(max(rest, 0.0))
-    amps[0b111] = SQRT_HALF
-    return new_state(3, amps)
+    return _three_qubit({0b000: a, 0b010: b, 0b100: _half_rest(a, b), 0b111: SQRT_HALF})
 
 
 def schmidt_branch_family(a: float, b: float, beta: float, kappa: float) -> StateVector:
@@ -75,15 +85,16 @@ def schmidt_branch_family(a: float, b: float, beta: float, kappa: float) -> Stat
     rest = 1.0 - kappa * kappa - b * b
     if rest < -CONSTRAINT_SLACK:
         raise ConstraintViolated(f"kappa² + b² must be ≤ 1, got {kappa ** 2 + b ** 2}")
+    check_phase("beta", beta)
     root = math.sqrt(1.0 - a * a)
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = SQRT_HALF * kappa * root
-    amps[0b010] = SQRT_HALF * b * cmath.exp(1j * beta)
-    amps[0b100] = SQRT_HALF * math.sqrt(max(rest, 0.0))
-    amps[0b110] = -SQRT_HALF * kappa * a
-    amps[0b001] = SQRT_HALF * a
-    amps[0b111] = SQRT_HALF * root
-    return new_state(3, amps)
+    return _three_qubit({
+        0b000: SQRT_HALF * kappa * root,
+        0b010: SQRT_HALF * b * cmath.exp(1j * beta),
+        0b100: SQRT_HALF * math.sqrt(max(rest, 0.0)),
+        0b110: -SQRT_HALF * kappa * a,
+        0b001: SQRT_HALF * a,
+        0b111: SQRT_HALF * root,
+    })
 
 
 def acin_canonical(k0: float, k1: float, k2: float, k3: float, k4: float,
@@ -92,13 +103,9 @@ def acin_canonical(k0: float, k1: float, k2: float, k3: float, k4: float,
     ks = [float(v) for v in (k0, k1, k2, k3, k4)]
     if any(v < 0 for v in ks):
         raise ConstraintViolated("canonical coefficients must be ≥ 0")
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = ks[0] * cmath.exp(1j * theta)
-    amps[0b001] = ks[1]
-    amps[0b010] = ks[2]
-    amps[0b100] = ks[3]
-    amps[0b111] = ks[4]
-    return new_state(3, amps)
+    check_phase("theta", theta)
+    return _three_qubit({0b000: ks[0] * cmath.exp(1j * theta), 0b001: ks[1], 0b010: ks[2],
+                         0b100: ks[3], 0b111: ks[4]})
 
 
 def acin_alternative(a: float, b: float, c: float, d: float, f: float,
@@ -107,13 +114,9 @@ def acin_alternative(a: float, b: float, c: float, d: float, f: float,
     vals = [float(v) for v in (a, b, c, d, f)]
     if any(v < 0 for v in vals):
         raise ConstraintViolated("canonical coefficients must be ≥ 0")
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = vals[0]
-    amps[0b100] = vals[1]
-    amps[0b101] = vals[2]
-    amps[0b110] = vals[3]
-    amps[0b111] = vals[4] * cmath.exp(1j * theta)
-    return new_state(3, amps)
+    check_phase("theta", theta)
+    return _three_qubit({0b000: vals[0], 0b100: vals[1], 0b101: vals[2], 0b110: vals[3],
+                         0b111: vals[4] * cmath.exp(1j * theta)})
 
 
 def zha_counterexample(a: float, b: float, theta: float = 0.0, delta: float = 0.0,
@@ -123,15 +126,11 @@ def zha_counterexample(a: float, b: float, theta: float = 0.0, delta: float = 0.
     A perfect-SQT resource (receiver = qubit 2) whose amplitude pattern fits
     neither five-term canonical perfect form. Requires a² + b² ≤ 1/2.
     """
-    rest = 0.5 - a * a - b * b
-    if rest < -CONSTRAINT_SLACK:
-        raise ConstraintViolated(f"a² + b² must be ≤ 1/2, got {a * a + b * b}")
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = SQRT_HALF * cmath.exp(1j * theta)
-    amps[0b011] = a
-    amps[0b101] = b * cmath.exp(1j * delta)
-    amps[0b111] = math.sqrt(max(rest, 0.0)) * cmath.exp(1j * gamma)
-    return new_state(3, amps)
+    rest = _half_rest(a, b)
+    for name, phase in (("theta", theta), ("delta", delta), ("gamma", gamma)):
+        check_phase(name, phase)
+    return _three_qubit({0b000: SQRT_HALF * cmath.exp(1j * theta), 0b011: a,
+                         0b101: b * cmath.exp(1j * delta), 0b111: rest * cmath.exp(1j * gamma)})
 
 
 def _generator(seed) -> np.random.Generator:

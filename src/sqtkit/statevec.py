@@ -111,6 +111,11 @@ def is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def is_real(x) -> bool:
+    """True for Python and numpy integers and floats; False for bool and anything else."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def check_qubit_count(n: int) -> None:
     if not (is_int(n) and 1 <= n <= MAX_QUBITS):
         raise TooManyQubits(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")

@@ -11,7 +11,7 @@ import pytest
 import sqtkit
 from sqtkit import ghz, new_state, random_state
 from sqtkit import protocol
-from sqtkit.cli import load_document, main
+from sqtkit.cli import document_dict, load_document, main
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -218,7 +218,44 @@ class TestTeleport:
         assert proc.stderr.splitlines() == [f"error: state norm {norm} deviates from 1 by more than 1e-09"]
 
 
+# family -> (library constructor, parameters, the gen flags it reads with a value each,
+# in the constructor's argument order)
+GEN_CASES = {
+    "ghz": (sqtkit.ghz, [3], {}),
+    "w": (sqtkit.w_general, [0.5, 0.5, SQRT_HALF], {}),
+    "separable": (sqtkit.separable_branch_family, [0.5, 0.3], {}),
+    "schmidt": (sqtkit.schmidt_branch_family, [0.3, 0.4, 1.2, 0.5], {}),
+    "acin": (sqtkit.acin_canonical, [0.5, 0.0, 0.3, 0.4, SQRT_HALF], {"theta": 0.5}),
+    "acinalt": (sqtkit.acin_alternative, [0.5, 0.0, SQRT_HALF, 0.5, 0.0], {"theta": -0.0}),
+    "counterexample": (sqtkit.zha_counterexample, [0.4, 0.3], {"theta": 0.1, "delta": -0.0, "gamma": 0.3}),
+    "random": (sqtkit.random_state, [3], {"seed": 9}),
+}
+# the 26 of the 32 (family, flag) pairs that gen refuses
+UNREAD_FLAGS = [(family, flag) for family, (_, _, reads) in GEN_CASES.items()
+                for flag in ("theta", "delta", "gamma", "seed") if flag not in reads]
+
+
 class TestGen:
+    @pytest.mark.parametrize("family, flag", UNREAD_FLAGS, ids=[f"{f}-{g}" for f, g in UNREAD_FLAGS])
+    def test_unread_flag_is_refused(self, family, flag, capsys):
+        _, params, _ = GEN_CASES[family]
+        assert main(["gen", family, *map(repr, params), f"--{flag}", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and f"--{flag}" in lines[0]
+
+    @pytest.mark.parametrize("family, with_flags", [(f, False) for f in GEN_CASES] + [
+        (f, True) for f, (_, _, reads) in GEN_CASES.items() if reads])
+    def test_document_is_the_library_state(self, family, with_flags, capsys):
+        build, params, reads = GEN_CASES[family]
+        given = reads if with_flags else {}
+        argv = ["gen", family, *map(repr, params), *(f"--{flag}={v!r}" for flag, v in given.items())]
+        assert main(argv) == 0
+        sv = build(*params, *(given.get(flag, 0) for flag in reads))  # an absent flag stands for 0
+        label = f"{family}({', '.join(map(repr, params))})"
+        assert capsys.readouterr().out == json.dumps(document_dict(sv, sv.n - 1, label)) + "\n"
+
     def test_ghz_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         assert main(["gen", "ghz", "3", "-o", str(out)]) == 0

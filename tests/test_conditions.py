@@ -235,9 +235,10 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0], ids=repr)
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True, "1e-3", None, 1 + 0j], ids=repr)
 @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
 def test_tolerance_must_be_positive_and_finite(check, tol):
-    # a NaN tolerance would make every verdict False, a negative one too
+    # a NaN tolerance would make every verdict False, a negative one too; True
+    # is not the tolerance 1, and a string, None or a complex is no number
     with pytest.raises(OutOfRange):
         check(tol)

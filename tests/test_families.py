@@ -12,6 +12,7 @@ from sqtkit import (
     acin_canonical,
     check_3qubit,
     check_general,
+    classify_zha,
     concurrence,
     concurrence_via_density,
     ghz,
@@ -244,3 +245,30 @@ def test_every_constructor_is_exactly_normalized():
     ]
     for sv in states:
         assert abs(sv.norm() - 1.0) < 1e-12
+
+
+# every phase a constructor or classify_zha takes, at an otherwise valid point
+PHASED = {
+    "acin-theta": lambda p: acin_canonical(0.5, 0.0, 0.3, 0.4, SQRT_HALF, p),
+    "acinalt-theta": lambda p: acin_alternative(0.5, 0.0, SQRT_HALF, 0.5, 0.0, p),
+    "counterexample-theta": lambda p: zha_counterexample(0.4, 0.3, p, 0.0, 0.0),
+    "counterexample-delta": lambda p: zha_counterexample(0.4, 0.3, 0.0, p, 0.0),
+    "counterexample-gamma": lambda p: zha_counterexample(0.4, 0.3, 0.0, 0.0, p),
+    "schmidt-beta": lambda p: schmidt_branch_family(0.5, 0.5, p, 0.6),
+    "classify_zha-theta": lambda p: classify_zha((0.5, 0.0, 0.3, 0.4, SQRT_HALF), p),
+}
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf, "x", None, True], ids=repr)
+@pytest.mark.parametrize("build", PHASED.values(), ids=PHASED.keys())
+def test_phase_must_be_a_finite_real_number(build, phase):
+    # NaN and inf used to surface as "state norm nan", or not at all in
+    # classify_zha; a string or None raised a bare TypeError
+    with pytest.raises(OutOfRange, match="phase .* must be a finite real number"):
+        build(phase)
+
+
+@pytest.mark.parametrize("phase", [0, -0.0, np.float64(0.7), 1e300], ids=repr)
+@pytest.mark.parametrize("build", PHASED.values(), ids=PHASED.keys())
+def test_phase_admits_any_finite_real(build, phase):
+    build(phase)
