@@ -237,23 +237,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
-
-
-# gen flag -> (argument type, meaning); an absent flag stands for 0
+# gen flag -> (argument type, meaning), an absent flag standing for 0; the library refuses bad values
 GEN_FLAGS = {"theta": (float, "phase θ (radians)"), "delta": (float, "phase δ (radians)"),
-             "gamma": (float, "phase γ (radians)"), "seed": (_seed, "RNG seed")}
+             "gamma": (float, "phase γ (radians)"), "seed": (int, "RNG seed")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="perfect-teleportation conditions (exit 0 iff they hold)")
     add_io(p_check)
-    p_check.add_argument("--tol", type=_tolerance, default=VERDICT_TOL,
+    p_check.add_argument("--tol", type=float, default=VERDICT_TOL,
                          help=f"verdict tolerance (default {VERDICT_TOL})")
     p_check.set_defaults(func=cmd_check)
 
@@ -290,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--info", metavar="RE0,IM0,RE1,IM1", help="information qubit amplitudes")
     mode.add_argument("--haar", action="store_true", help="draw a Haar-random information qubit")
     mode.add_argument("--samples", type=int, help="Monte Carlo sample count for the average fidelity")
-    p_tel.add_argument("--seed", type=_seed, default=None, help="RNG seed for --haar/--samples (default 0)")
+    p_tel.add_argument("--seed", type=int, default=None, help="RNG seed for --haar/--samples (default 0)")
     p_tel.set_defaults(func=cmd_teleport)
 
     p_gen = sub.add_parser("gen", help="generate a named family state document")

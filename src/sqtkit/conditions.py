@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolated, OutOfRange, WrongQubitCount
-from .families import SQRT_HALF, acin_alternative, check_phase
+from .families import SQRT_HALF, acin_alternative, check_coefficients, check_phase
 from .schmidt import split_by_receiver
-from .statevec import (StateVector, check_qubit_index, check_unit_norm, is_real, move_to_last_perm,
-                       permute_qubits)
+from .statevec import StateVector, check_unit_norm, is_real, move_to_last_perm, permute_qubits
 
 # Default tolerance of every verdict here and of `sqtkit check --tol`.
 VERDICT_TOL = 1e-9
@@ -68,7 +67,6 @@ def check_3qubit(resource: StateVector, bob: int, tol: float = VERDICT_TOL) -> P
     _check_tol(tol)
     if resource.n != 3:
         raise WrongQubitCount(f"need exactly 3 qubits, got {resource.n}")
-    check_qubit_index(3, bob)
     amps = permute_qubits(resource, move_to_last_perm(3, bob)).amps
     x, y = amps[0::2], amps[1::2]
     balance = abs(float(np.vdot(x, x).real - np.vdot(y, y).real))
@@ -105,11 +103,9 @@ def classify_zha(kappas, theta: float = 0.0, tol: float = VERDICT_TOL) -> ZhaRep
     subfamilies. The phase θ is free in both forms and does not affect
     membership, but it must be a finite real number."""
     _check_tol(tol)
-    k = [float(v) for v in kappas]
+    k = check_coefficients(kappas)
     if len(k) != 5:
         raise ConstraintViolated(f"expected 5 canonical coefficients, got {len(k)}")
-    if any(v < 0 for v in k):
-        raise ConstraintViolated("canonical coefficients must be ≥ 0")
     check_unit_norm(math.hypot(*k))
     check_phase("theta", theta)
     k0, k1, k2, k3, k4 = k

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import ConstraintViolated, OutOfRange, TooManyQubits
-from .statevec import MAX_QUBITS, StateVector, is_int, is_real, new_state
+from .errors import ConstraintViolated, OutOfRange
+from .statevec import StateVector, check_qubit_count, is_int, is_number, is_real, new_state
 
 SQRT_HALF = math.sqrt(0.5)
 CONSTRAINT_SLACK = 1e-12
@@ -25,8 +25,7 @@ def ghz(n: int) -> StateVector:
     """(|0…0⟩ + |1…1⟩)/√2 on n ≥ 2 qubits."""
     if not (is_int(n) and n >= 2):
         raise OutOfRange(f"GHZ needs an integer n ≥ 2, got {n!r}")
-    if n > MAX_QUBITS:
-        raise TooManyQubits(f"n = {n} exceeds the {MAX_QUBITS}-qubit cap")
+    check_qubit_count(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = SQRT_HALF
     return new_state(n, amps)
@@ -46,8 +45,22 @@ def check_phase(name: str, value) -> None:
         raise OutOfRange(f"phase {name} must be a finite real number, got {value!r}")
 
 
+def check_coefficients(values) -> list[float]:
+    """Canonical coefficients as floats: OutOfRange for one that is not a real number
+    (`bool` included), ConstraintViolated for a negative one; NaN and inf are left
+    to the unit-norm gate."""
+    values = list(values) if np.iterable(values) else [values]
+    if not all(map(is_real, values)):
+        raise OutOfRange(f"canonical coefficients must be real numbers, got {values!r}")
+    if any(v < 0 for v in values):
+        raise ConstraintViolated("canonical coefficients must be ≥ 0")
+    return [float(v) for v in values]
+
+
 def _half_rest(a: float, b: float) -> float:
-    """√(1/2 − a² − b²), refusing a² + b² > 1/2 beyond CONSTRAINT_SLACK."""
+    """√(1/2 − a² − b²) of real a and b, refusing a² + b² > 1/2 beyond CONSTRAINT_SLACK."""
+    if not (is_real(a) and is_real(b)):
+        raise OutOfRange(f"a and b must be real numbers, got {a!r} and {b!r}")
     rest = 0.5 - a * a - b * b
     if rest < -CONSTRAINT_SLACK:
         raise ConstraintViolated(f"a² + b² must be ≤ 1/2, got {a * a + b * b}")
@@ -59,6 +72,8 @@ def w_general(a100: complex, a010: complex, a001: complex) -> StateVector:
 
     Teleports one qubit perfectly to qubit 2 iff |a100|² + |a010|² = |a001|² = 1/2.
     """
+    if not (is_number(a100) and is_number(a010) and is_number(a001)):
+        raise OutOfRange(f"W amplitudes must be numbers, got {(a100, a010, a001)!r}")
     return _three_qubit({0b100: a100, 0b010: a010, 0b001: a001})
 
 
@@ -80,6 +95,8 @@ def schmidt_branch_family(a: float, b: float, beta: float, kappa: float) -> Stat
     has unit concurrence toward qubit 2.
     """
     for name, v in (("a", a), ("b", b), ("kappa", kappa)):
+        if not is_real(v):
+            raise OutOfRange(f"{name} must be a real number, got {v!r}")
         if not 0.0 <= v <= 1.0:
             raise ConstraintViolated(f"{name} must lie in [0, 1], got {v}")
     rest = 1.0 - kappa * kappa - b * b
@@ -100,9 +117,7 @@ def schmidt_branch_family(a: float, b: float, beta: float, kappa: float) -> Stat
 def acin_canonical(k0: float, k1: float, k2: float, k3: float, k4: float,
                    theta: float = 0.0) -> StateVector:
     """Five-term canonical form κ0·e^{iθ}|000⟩ + κ1|001⟩ + κ2|010⟩ + κ3|100⟩ + κ4|111⟩."""
-    ks = [float(v) for v in (k0, k1, k2, k3, k4)]
-    if any(v < 0 for v in ks):
-        raise ConstraintViolated("canonical coefficients must be ≥ 0")
+    ks = check_coefficients((k0, k1, k2, k3, k4))
     check_phase("theta", theta)
     return _three_qubit({0b000: ks[0] * cmath.exp(1j * theta), 0b001: ks[1], 0b010: ks[2],
                          0b100: ks[3], 0b111: ks[4]})
@@ -111,9 +126,7 @@ def acin_canonical(k0: float, k1: float, k2: float, k3: float, k4: float,
 def acin_alternative(a: float, b: float, c: float, d: float, f: float,
                      theta: float = 0.0) -> StateVector:
     """Alternative five-term canonical form a|000⟩ + b|100⟩ + c|101⟩ + d|110⟩ + f·e^{iθ}|111⟩."""
-    vals = [float(v) for v in (a, b, c, d, f)]
-    if any(v < 0 for v in vals):
-        raise ConstraintViolated("canonical coefficients must be ≥ 0")
+    vals = check_coefficients((a, b, c, d, f))
     check_phase("theta", theta)
     return _three_qubit({0b000: vals[0], 0b100: vals[1], 0b101: vals[2], 0b110: vals[3],
                          0b111: vals[4] * cmath.exp(1j * theta)})
@@ -147,8 +160,7 @@ def random_state(n: int, rng=None) -> StateVector:
     """Haar-random pure state: a normalized complex Gaussian amplitude vector."""
     if not (is_int(n) and n >= 1):
         raise OutOfRange(f"need an integer n ≥ 1, got {n!r}")
-    if n > MAX_QUBITS:
-        raise TooManyQubits(f"n = {n} exceeds the {MAX_QUBITS}-qubit cap")
+    check_qubit_count(n)
     gen = _generator(rng)
     raw = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
     return StateVector(n, raw / np.linalg.norm(raw))

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import OutOfRange
 from .families import SQRT_HALF, _generator
 from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
-from .statevec import PAULI_X, PAULI_Z, StateVector, is_int, new_state
+from .statevec import PAULI_X, PAULI_Z, StateVector, is_int, is_number, new_state
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 # Outcome r's (branch paired with information |0⟩, branch paired with |1⟩, sign)
@@ -33,6 +33,9 @@ MC_CHUNK = 1 << 20
 # Largest sample count average_fidelity_mc accepts: about 2 minutes of draws
 # (1024 chunks at ~0.1 s each); larger requests are refused before any draw.
 MC_MAX_SAMPLES = 1 << 30
+# An outcome of probability P ≤ ZERO_PROB never occurs: outcome_table reports
+# fidelity 0 for it and the receiver qubit |0̄⟩, as nothing is left to normalize.
+ZERO_PROB = 1e-30
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,8 @@ class InfoQubit:
     amp1: complex
 
     def __post_init__(self):
+        if not (is_number(self.amp0) and is_number(self.amp1)):
+            raise OutOfRange(f"info amplitudes must be numbers, got {self.amp0!r} and {self.amp1!r}")
         amp0, amp1 = new_state(1, (self.amp0, self.amp1)).amps.tolist()
         object.__setattr__(self, "amp0", amp0)
         object.__setattr__(self, "amp1", amp1)
@@ -106,8 +111,7 @@ def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
 
 
 def _fidelity_from(numerator: float, prob: float) -> float:
-    # Outcomes of probability zero never occur; report fidelity 0 for them.
-    if prob <= 1e-30:
+    if prob <= ZERO_PROB:
         return 0.0
     return float(numerator**2 / (2.0 * prob))
 
@@ -129,14 +133,14 @@ def outcome_table(info: InfoQubit, form: SchmidtForm) -> list[OutcomeRecord]:
     p23 = 0.5 * (pb * ca**2 + pa * cb**2)
     f01 = _fidelity_from(pa * ca + pb * cb, p01)
     f23 = _fidelity_from(pb * ca + pa * cb, p23)
+    probs, fids = (p01, p01, p23, p23), (f01, f01, f23, f23)
     pairs = []
-    for top, bottom in ((a * ca, b * cb), (a * ca, -b * cb), (b * ca, a * cb), (-b * ca, a * cb)):
-        norm = math.hypot(abs(top), abs(bottom))
-        # an outcome of probability zero collapses to nothing; report |0̄⟩
-        pairs.append((top / norm, bottom / norm) if norm > 1e-15 else (1.0, 0.0))
+    for prob, (top, bottom) in zip(probs, ((a * ca, b * cb), (a * ca, -b * cb), (b * ca, a * cb),
+                                           (-b * ca, a * cb))):
+        norm = math.hypot(abs(top), abs(bottom))  # √(2·prob)
+        pairs.append((top / norm, bottom / norm) if prob > ZERO_PROB else (1.0, 0.0))
     bob_states = np.array(pairs) @ form.receiver_basis.T
     bob_states.flags.writeable = False  # the rows handed out are read-only views of it
-    probs, fids = (p01, p01, p23, p23), (f01, f01, f23, f23)
     return [
         OutcomeRecord(r, probs[r], bob_states[r], CORRECTION_LABELS[r], fids[r])
         for r in range(4)

@@ -31,6 +31,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidPermutation,
     NotNormalized,
+    OutOfRange,
     TooManyQubits,
 )
 
@@ -47,8 +48,9 @@ for _m in (PAULI_X, PAULI_Z):
 class StateVector:
     """Checked amplitude vector over 2**n basis states.
 
-    The constructor checks n, the shape and the norm (within `NORM_TOL` of
-    one, NaN refused) and copies its input; :func:`new_state` also
+    The constructor checks n, that the amplitudes are numbers (bools, strings
+    and objects raise `OutOfRange`), the shape and the norm (within `NORM_TOL`
+    of one, NaN refused) and copies its input; :func:`new_state` also
     renormalizes exactly. The analysis and the protocol never wrap the vectors
     they derive in it.
     """
@@ -60,7 +62,10 @@ class StateVector:
 
     def __post_init__(self):
         check_qubit_count(self.n)
-        amps = np.array(self.amps, dtype=complex, order="C").reshape(-1)
+        amps = np.asarray(self.amps)
+        if amps.dtype.kind not in "iufc":
+            raise OutOfRange(f"amplitudes must be numbers, got an array of dtype {amps.dtype}")
+        amps = np.array(amps, dtype=complex, order="C").reshape(-1)
         if amps.size != 2**self.n:
             raise DimensionMismatch(
                 f"expected {2 ** self.n} amplitudes for n={self.n}, got {amps.size}"
@@ -114,6 +119,11 @@ def is_int(x) -> bool:
 def is_real(x) -> bool:
     """True for Python and numpy integers and floats; False for bool and anything else."""
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    """True for Python and numpy real and complex numbers; False for bool and anything else."""
+    return isinstance(x, (int, float, complex, np.number)) and not isinstance(x, bool)
 
 
 def check_qubit_count(n: int) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -188,6 +189,17 @@ class TestOutcomeTable:
         assert table[0].fidelity == 0.0
         assert table[2].prob == pytest.approx(0.5)
         assert table[2].fidelity == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("coeff1", [0.0, 1.2e-15, 1.5e-15], ids=repr)
+    def test_one_zero_outcome_rule(self, coeff1):
+        # info |0⟩ gives outcomes 2, 3 the probability coeff1²/2: 0, then
+        # 7.2e-31 (a never-occurring outcome that used to get a normalized
+        # qubit), then 1.1e-30; fidelity 0 and |0̄⟩ go together
+        form = dataclasses.replace(schmidt_form(ghz(3), 2), coeff0=math.sqrt(1 - coeff1**2), coeff1=coeff1)
+        for rec in outcome_table(InfoQubit(1, 0), form)[2:]:
+            never = rec.prob <= protocol.ZERO_PROB
+            assert (rec.fidelity == 0.0) == never
+            assert np.array_equal(rec.bob_state, form.receiver_basis[:, 0]) == never
 
 
 @pytest.mark.parametrize("outcome", [1.5, True, np.float64(2.0), -1, 4], ids=repr)
