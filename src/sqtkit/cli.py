@@ -26,7 +26,7 @@ from .conditions import VERDICT_TOL, check_3qubit, check_general
 from .errors import ConstraintViolated, InvalidDocument, SqtError
 from .protocol import InfoQubit, average_fidelity_mc, haar_random_info, outcome_table
 from .schmidt import concurrence_via_density, maf, schmidt_form
-from .statevec import StateVector, new_state
+from .statevec import StateVector, is_int, new_state
 
 
 def load_document(path: str) -> tuple[StateVector, int, str | None]:
@@ -39,7 +39,7 @@ def load_document(path: str) -> tuple[StateVector, int, str | None]:
     if not isinstance(doc, dict):
         raise InvalidDocument(f"{path}: top-level value must be an object")
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_int(n):
         raise InvalidDocument(f"{path}: field 'n' must be an integer")
     pairs = doc.get("amplitudes")
     if not isinstance(pairs, list):
@@ -56,7 +56,7 @@ def load_document(path: str) -> tuple[StateVector, int, str | None]:
         raise bad_pairs from exc
     sv = new_state(n, amps)
     bob = doc.get("bob", n - 1)
-    if not isinstance(bob, int) or isinstance(bob, bool):
+    if not is_int(bob):
         raise InvalidDocument(f"{path}: field 'bob' must be an integer")
     label = doc.get("label")
     if label is not None and not isinstance(label, str):

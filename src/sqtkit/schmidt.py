@@ -35,8 +35,9 @@ and M₁ − z·M₀, puts the heavier one first (a basis swap, needed only when
 z = 0 and B > A), and gives a minor branch whose coefficient is
 ≤ DEGENERATE_TOL an exact direction orthogonal to the major one. Its
 branches are read-only arrays, not StateVectors, and the split keeps no
-branches. The Gram triple and the form are kept in the state's memo, once
-per receiver, so repeated calls on one state return the same objects.
+branches. The form and its Gram triple are kept as one record per receiver
+in the state's memo, so repeated calls on one state return the same objects;
+a split read before any form recomputes its Gram step and stores nothing.
 `rotation_candidates` keeps the quadratic with both roots as an oracle, and
 `concurrence_via_density` is an independent route to C through a QR
 factorization of the two-column amplitude matrix, done in closed form with
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, WrongQubitCount
-from .statevec import PAULI_X, StateVector, check_qubit_index
+from .statevec import PAULI_X, StateVector, _norm, check_qubit_index
 
 # Branch weight below this counts as an absent branch; block overlap below it
 # counts as already orthogonal (z = 0 then leaves a residual ≪ 1e-10).
@@ -94,10 +95,6 @@ class SchmidtForm:
     receiver_basis: np.ndarray
 
 
-def _norm(x: np.ndarray) -> float:
-    return math.sqrt(np.vdot(x, x).real)
-
-
 def _check_receiver(sv: StateVector, bob: int) -> None:
     if sv.n < 2:
         raise WrongQubitCount(f"resource must have at least 2 qubits, got {sv.n}")
@@ -120,22 +117,11 @@ def _gram(blocks: np.ndarray) -> tuple[float, float, complex]:
     return math.sqrt(a2.real), math.sqrt(b2.real), g
 
 
-def _gram_of(sv: StateVector, bob: int, blocks=None) -> tuple[float, float, complex]:
-    """`_gram` of the receiver blocks (`blocks`, when the caller has read
-    them already), computed once per (state, receiver). The caller checks
-    `bob` first: True and 1.0 hash like 1, so they would find receiver 1."""
-    gram = sv._memo.get(("gram", bob))
-    if gram is None:
-        if blocks is None:
-            blocks = _receiver_blocks(sv, bob)
-        gram = sv._memo["gram", bob] = _gram(blocks)
-    return gram
-
-
 def split_by_receiver(sv: StateVector, bob: int) -> BipartiteSplit:
     """Block weights and branch overlap of a resource split by the receiver's qubit."""
-    _check_receiver(sv, bob)
-    w0, w1, g = _gram_of(sv, bob)
+    _check_receiver(sv, bob)  # before the lookup: True and 1.0 hash like 1
+    found = sv._memo.get(bob)
+    w0, w1, g = found[0] if found else _gram(_receiver_blocks(sv, bob))
     overlap = g / (w0 * w1) if w0 > DEGENERATE_TOL and w1 > DEGENERATE_TOL else 0j
     return BipartiteSplit(w0, w1, overlap)
 
@@ -196,11 +182,12 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     frozen object.
     """
     _check_receiver(sv, bob)  # before the lookup: True and 1.0 hash like 1
-    form = sv._memo.get(("form", bob))
-    if form is not None:
-        return form
+    found = sv._memo.get(bob)
+    if found:
+        return found[1]
     blocks = _receiver_blocks(sv, bob)
-    z = _top_root(*_gram_of(sv, bob, blocks))
+    gram = _gram(blocks)
+    z = _top_root(*gram)
     scale = math.sqrt(1.0 + abs(z) ** 2)
     raw0 = blocks[:, 0] + z.conjugate() * blocks[:, 1]
     raw1 = blocks[:, 1] - z * blocks[:, 0]
@@ -220,7 +207,8 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     else:
         b1 = _orthogonal_filler(b0)
     b0.flags.writeable = b1.flags.writeable = u.flags.writeable = False
-    form = sv._memo["form", bob] = SchmidtForm(c0, c1, z, b0, b1, 2.0 * c0 * c1, u)
+    form = SchmidtForm(c0, c1, z, b0, b1, 2.0 * c0 * c1, u)
+    sv._memo[bob] = (gram, form)
     return form
 
 

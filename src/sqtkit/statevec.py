@@ -13,8 +13,9 @@ and the protocol derive are plain read-only complex arrays. All functions here
 are pure, and every stored amplitude array is read-only.
 
 Because the amplitudes never change, a `StateVector` also carries a private
-memo in which `sqtkit.schmidt` keeps its receiver analyses (the Gram read and
-the Schmidt form per receiver qubit), so each is computed once per object.
+memo in which `sqtkit.schmidt.schmidt_form` keeps one record per analysed
+receiver qubit, its Gram triple and Schmidt form, so each is computed once
+per object.
 Every function here that returns a `StateVector` returns a new object, whose
 memo starts empty.
 """
@@ -22,6 +23,7 @@ memo starts empty.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +59,7 @@ class StateVector:
 
     n: int
     amps: np.ndarray
-    # receiver analyses derived from amps, keyed and filled by sqtkit.schmidt
+    # receiver qubit -> (Gram triple, SchmidtForm) of amps, filled by sqtkit.schmidt
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -75,12 +77,16 @@ class StateVector:
         check_unit_norm(self.norm())
 
     def norm(self) -> float:
-        # vdot raises no numpy overflow warning: huge amplitudes give inf or NaN
-        return math.sqrt(np.vdot(self.amps, self.amps).real)
+        return _norm(self.amps)
 
     def tensor_view(self) -> np.ndarray:
         """Read-only view shaped (2,)*n, one axis per qubit."""
         return self.amps.reshape((2,) * self.n)
+
+
+def _norm(x: np.ndarray) -> float:
+    # vdot raises no numpy overflow warning: huge amplitudes give inf or NaN
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def new_state(n: int, amps) -> StateVector:
@@ -117,13 +123,18 @@ def is_int(x) -> bool:
 
 
 def is_real(x) -> bool:
-    """True for Python and numpy integers and floats; False for bool and anything else."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    """True for Python and numpy integers and floats; False for bool, huge ints and anything else."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and _fits_float(x)
 
 
 def is_number(x) -> bool:
-    """True for Python and numpy real and complex numbers; False for bool and anything else."""
-    return isinstance(x, (int, float, complex, np.number)) and not isinstance(x, bool)
+    """True for Python and numpy real and complex numbers; False for bool, huge ints and anything else."""
+    return isinstance(x, (int, float, complex, np.number)) and _fits_float(x)
+
+
+def _fits_float(x) -> bool:
+    # a huge int is a Python int beyond ±sys.float_info.max
+    return not isinstance(x, bool) and not (isinstance(x, int) and abs(x) > sys.float_info.max)
 
 
 def check_qubit_count(n: int) -> None:

@@ -3,6 +3,7 @@ typed SqtError, and the numeric types the gates admit build the same state as
 the plain float call."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sqtkit import (
     SqtError,
     acin_alternative,
     acin_canonical,
+    check_general,
     classify_acin_alt,
     classify_zha,
     ghz,
@@ -23,6 +25,7 @@ from sqtkit import (
     w_general,
     zha_counterexample,
 )
+from sqtkit.statevec import is_number, is_real
 
 SQRT_HALF = math.sqrt(0.5)
 KAPPAS = (0.5, 0.0, 0.3, 0.4, SQRT_HALF)
@@ -79,6 +82,34 @@ def test_junk_argument_raises_a_typed_error(name, index, junk):
 def test_amplitudes_must_be_numbers(amps):
     with pytest.raises(OutOfRange, match="amplitudes must be numbers"):
         new_state(1, amps)
+
+
+HUGE = 10**400  # a Python int that no float can hold
+HUGE_INT_CALLS = {
+    "acin_canonical-coefficient": lambda: acin_canonical(HUGE, 0, 0, 0, 0),
+    "acin_canonical-theta": lambda: acin_canonical(1, 0, 0, 0, 0, HUGE),
+    "separable_branch_family": lambda: separable_branch_family(HUGE, 0),
+    "w_general": lambda: w_general(HUGE, 0, 0),
+    "schmidt_branch_family": lambda: schmidt_branch_family(0.5, 0.5, HUGE, 0.5),
+    "zha_counterexample": lambda: zha_counterexample(0.4, 0.3, HUGE),
+    "classify_zha": lambda: classify_zha((HUGE, 0, 0, 0, 0)),
+    "classify_acin_alt": lambda: classify_acin_alt(HUGE, 0, 0, 0, 0),
+    "check_general-tol": lambda: check_general(ghz(3), 2, HUGE),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_INT_CALLS)
+def test_int_beyond_the_float_range_is_refused(name):
+    # each call used to end in a bare OverflowError, and check_general gave a verdict
+    with pytest.raises(OutOfRange):
+        HUGE_INT_CALLS[name]()
+
+
+@pytest.mark.parametrize("gate", [is_real, is_number])
+def test_float_range_edge_of_the_number_gates(gate):
+    top = int(sys.float_info.max)
+    assert gate(top) and gate(-top) and gate(sys.float_info.max)
+    assert not gate(top + 1) and not gate(-top - 1)
 
 
 def _fingerprint(result):

@@ -6,9 +6,11 @@ import pytest
 from helpers import FAMILY_MEMBERS, brute_force_concurrence, reconstruct_form
 from sqtkit import (
     IndexOutOfRange,
+    InfoQubit,
     OutOfRange,
     StateVector,
     WrongQubitCount,
+    average_fidelity_mc,
     basis_state,
     check_3qubit,
     check_general,
@@ -22,6 +24,7 @@ from sqtkit import (
     random_state,
     rotation_candidates,
     rotation_matrix,
+    run_teleport,
     schmidt_form,
     split_by_receiver,
     w_general,
@@ -408,8 +411,8 @@ def assert_forms_identical(got, want):
 
 
 class TestMemo:
-    """Each StateVector computes its Gram read and Schmidt form once per
-    receiver; the memo changes no result and no refusal."""
+    """Each StateVector keeps one record, its Gram triple and Schmidt form,
+    per analysed receiver; the memo changes no result and no refusal."""
 
     def test_repeated_form_is_the_same_object(self):
         sv = random_state(5, 1)
@@ -422,7 +425,7 @@ class TestMemo:
         for bob in range(n):
             first = schmidt_form(sv, bob)
             assert schmidt_form(sv, bob) is first
-            split = split_by_receiver(sv, bob)  # reads the Gram step the form stored
+            split = split_by_receiver(sv, bob)  # reads the Gram triple of the form's record
             assert_forms_identical(first, schmidt_form(StateVector(n, sv.amps), bob))
             fresh = split_by_receiver(StateVector(n, sv.amps), bob)
             assert (split.weight0, split.weight1, split.overlap) == (
@@ -431,7 +434,7 @@ class TestMemo:
     def test_split_first_then_form_matches_a_fresh_state(self):
         sv = random_state(6, 7)
         for bob in range(6):
-            split_by_receiver(sv, bob)  # stores the Gram step the form then reads
+            split_by_receiver(sv, bob)  # computes its Gram step and stores nothing
             assert_forms_identical(schmidt_form(sv, bob), schmidt_form(StateVector(6, sv.amps), bob))
 
     @pytest.mark.parametrize("bob", [True, 1.0, -1, 4], ids=repr)
@@ -442,6 +445,23 @@ class TestMemo:
         for fn in (schmidt_form, split_by_receiver, concurrence):
             with pytest.raises(IndexOutOfRange):
                 fn(sv, bob)
+
+    def test_one_record_per_receiver(self):
+        sv = random_state(4, 11)
+        split_by_receiver(sv, 1)  # a split alone stores nothing
+        for bob in (0, 2):
+            schmidt_form(sv, bob)
+            split_by_receiver(sv, bob)
+            check_general(sv, bob)
+            concurrence(sv, bob)
+            run_teleport(InfoQubit(0.6, 0.8j), sv, bob, seed=3)
+            average_fidelity_mc(sv, bob, 100, 5)
+        assert sorted(sv._memo) == [0, 2]
+        for bob in (0, 2):
+            gram, form = sv._memo[bob]
+            assert form is schmidt_form(sv, bob)
+            split = split_by_receiver(sv, bob)
+            assert gram[:2] == (split.weight0, split.weight1)
 
     def test_derived_states_start_with_empty_memos(self):
         sv = random_state(4, 5)
@@ -458,7 +478,7 @@ class TestMemo:
             schmidt_form(sv, bob)
         poison = object()
         for key in sv._memo:
-            sv._memo[key] = poison
+            sv._memo[key] = (poison, poison)
         assert schmidt_form(sv, 0) is poison  # the memo is read where it should be
         for bob in range(3):
             got = check_3qubit(sv, bob)
