@@ -45,7 +45,6 @@ from .protocol import (
     correction_matrix,
     haar_info_samples,
     haar_random_info,
-    measurement_basis,
     outcome_table,
     run_teleport,
 )
@@ -55,7 +54,6 @@ from .schmidt import (
     concurrence,
     concurrence_via_density,
     maf,
-    rotation_candidates,
     rotation_matrix,
     schmidt_form,
     split_by_receiver,
@@ -65,7 +63,6 @@ from .statevec import (
     PAULI_X,
     PAULI_Z,
     StateVector,
-    basis_state,
     move_to_last_perm,
     new_state,
     permute_qubits,

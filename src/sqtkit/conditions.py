@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConstraintViolated, OutOfRange, WrongQubitCount
 from .families import SQRT_HALF, acin_alternative, check_coefficients, check_phase
 from .schmidt import split_by_receiver
-from .statevec import StateVector, check_unit_norm, is_real, move_to_last_perm, permute_qubits
+from .statevec import StateVector, _shown, check_unit_norm, is_real, move_to_last_perm, permute_qubits
 
 # Default tolerance of every verdict here and of `sqtkit check --tol`.
 VERDICT_TOL = 1e-9
@@ -36,7 +36,7 @@ class PerfectVerdict:
 
 def _check_tol(tol: float) -> None:
     if not (is_real(tol) and 0.0 < tol < math.inf):
-        raise OutOfRange(f"tolerance must be positive and finite, got {tol!r}")
+        raise OutOfRange(f"tolerance must be positive and finite, got {_shown(tol)}")
 
 
 def _verdict(balance: float, overlap: float, tol: float) -> PerfectVerdict:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConstraintViolated, OutOfRange
-from .statevec import StateVector, check_qubit_count, is_int, is_number, is_real, new_state
+from .statevec import StateVector, _shown, check_qubit_count, is_int, is_number, is_real, new_state
 
 SQRT_HALF = math.sqrt(0.5)
 CONSTRAINT_SLACK = 1e-12
@@ -24,7 +24,7 @@ CONSTRAINT_SLACK = 1e-12
 def ghz(n: int) -> StateVector:
     """(|0…0⟩ + |1…1⟩)/√2 on n ≥ 2 qubits."""
     if not (is_int(n) and n >= 2):
-        raise OutOfRange(f"GHZ needs an integer n ≥ 2, got {n!r}")
+        raise OutOfRange(f"GHZ needs an integer n ≥ 2, got {_shown(n)}")
     check_qubit_count(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = SQRT_HALF
@@ -42,7 +42,7 @@ def _three_qubit(pattern: dict) -> StateVector:
 def check_phase(name: str, value) -> None:
     """Refuse with OutOfRange a phase that is not a finite real number, bool included."""
     if not (is_real(value) and math.isfinite(value)):
-        raise OutOfRange(f"phase {name} must be a finite real number, got {value!r}")
+        raise OutOfRange(f"phase {name} must be a finite real number, got {_shown(value)}")
 
 
 def check_coefficients(values) -> list[float]:
@@ -51,7 +51,7 @@ def check_coefficients(values) -> list[float]:
     to the unit-norm gate."""
     values = list(values) if np.iterable(values) else [values]
     if not all(map(is_real, values)):
-        raise OutOfRange(f"canonical coefficients must be real numbers, got {values!r}")
+        raise OutOfRange(f"canonical coefficients must be real numbers, got {_shown(values)}")
     if any(v < 0 for v in values):
         raise ConstraintViolated("canonical coefficients must be ≥ 0")
     return [float(v) for v in values]
@@ -60,7 +60,7 @@ def check_coefficients(values) -> list[float]:
 def _half_rest(a: float, b: float) -> float:
     """√(1/2 − a² − b²) of real a and b, refusing a² + b² > 1/2 beyond CONSTRAINT_SLACK."""
     if not (is_real(a) and is_real(b)):
-        raise OutOfRange(f"a and b must be real numbers, got {a!r} and {b!r}")
+        raise OutOfRange(f"a and b must be real numbers, got {_shown(a)} and {_shown(b)}")
     rest = 0.5 - a * a - b * b
     if rest < -CONSTRAINT_SLACK:
         raise ConstraintViolated(f"a² + b² must be ≤ 1/2, got {a * a + b * b}")
@@ -73,7 +73,7 @@ def w_general(a100: complex, a010: complex, a001: complex) -> StateVector:
     Teleports one qubit perfectly to qubit 2 iff |a100|² + |a010|² = |a001|² = 1/2.
     """
     if not (is_number(a100) and is_number(a010) and is_number(a001)):
-        raise OutOfRange(f"W amplitudes must be numbers, got {(a100, a010, a001)!r}")
+        raise OutOfRange(f"W amplitudes must be numbers, got {_shown((a100, a010, a001))}")
     return _three_qubit({0b100: a100, 0b010: a010, 0b001: a001})
 
 
@@ -96,7 +96,7 @@ def schmidt_branch_family(a: float, b: float, beta: float, kappa: float) -> Stat
     """
     for name, v in (("a", a), ("b", b), ("kappa", kappa)):
         if not is_real(v):
-            raise OutOfRange(f"{name} must be a real number, got {v!r}")
+            raise OutOfRange(f"{name} must be a real number, got {_shown(v)}")
         if not 0.0 <= v <= 1.0:
             raise ConstraintViolated(f"{name} must lie in [0, 1], got {v}")
     rest = 1.0 - kappa * kappa - b * b
@@ -153,13 +153,13 @@ def _generator(seed) -> np.random.Generator:
             raise TypeError("a bool is not a seed")
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
-        raise OutOfRange(f"seed must be None, an integer ≥ 0 or a Generator, got {seed!r}") from exc
+        raise OutOfRange(f"seed must be None, an integer ≥ 0 or a Generator, got {_shown(seed)}") from exc
 
 
 def random_state(n: int, rng=None) -> StateVector:
     """Haar-random pure state: a normalized complex Gaussian amplitude vector."""
     if not (is_int(n) and n >= 1):
-        raise OutOfRange(f"need an integer n ≥ 1, got {n!r}")
+        raise OutOfRange(f"need an integer n ≥ 1, got {_shown(n)}")
     check_qubit_count(n)
     gen = _generator(rng)
     raw = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import OutOfRange
 from .families import SQRT_HALF, _generator
 from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
-from .statevec import PAULI_X, PAULI_Z, StateVector, is_int, is_number, new_state
+from .statevec import PAULI_X, PAULI_Z, StateVector, _shown, is_int, is_number, new_state
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 # Outcome r's (branch paired with information |0⟩, branch paired with |1⟩, sign)
@@ -47,7 +47,8 @@ class InfoQubit:
 
     def __post_init__(self):
         if not (is_number(self.amp0) and is_number(self.amp1)):
-            raise OutOfRange(f"info amplitudes must be numbers, got {self.amp0!r} and {self.amp1!r}")
+            raise OutOfRange(
+                f"info amplitudes must be numbers, got {_shown(self.amp0)} and {_shown(self.amp1)}")
         amp0, amp1 = new_state(1, (self.amp0, self.amp1)).amps.tolist()
         object.__setattr__(self, "amp0", amp0)
         object.__setattr__(self, "amp1", amp1)
@@ -82,25 +83,11 @@ class McEstimate:
     samples: int
 
 
-def measurement_basis(form: SchmidtForm) -> tuple[np.ndarray, ...]:
-    """The four orthonormal sender states over (information qubit, n−1
-    resource qubits), built from the Schmidt branches as read-only arrays:
-    Ψ(0,1) = (|0⟩|branch0⟩ ± |1⟩|branch1⟩)/√2 and
-    Ψ(2,3) = (|0⟩|branch1⟩ ± |1⟩|branch0⟩)/√2. They are the reference the
-    explicit run is tested against: :func:`run_teleport` projects onto them
-    without building them."""
-    b = form.branch0, form.branch1
-    pairs = [(b[i], b[j] if sign > 0 else -b[j]) for i, j, sign in _OUTCOMES]
-    states = SQRT_HALF * np.array([np.concatenate(pair) for pair in pairs])
-    states.flags.writeable = False  # the rows handed out are read-only views of it
-    return tuple(states)
-
-
 def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
     """Receiver correction for an outcome: U†, then σz if its sign is − (outcomes
     1 and 3), then σx if it swaps the branches (outcomes 2 and 3)."""
     if not (is_int(outcome) and 0 <= outcome <= 3):
-        raise OutOfRange(f"outcome must be an integer in 0..3, got {outcome!r}")
+        raise OutOfRange(f"outcome must be an integer in 0..3, got {_shown(outcome)}")
     i, _, sign = _OUTCOMES[outcome]
     m = receiver_basis.conj().T
     if sign < 0:
@@ -159,11 +146,12 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     outcome, collapse the receiver's qubit, and apply the labeled correction.
 
     The joint state (info qubit first, receiver last) has the receiver blocks
-    [amp0·M; amp1·M], M being the resource's. The basis states of
-    :func:`measurement_basis` pair branches b_i, b_j with information |0⟩, |1⟩,
-    so with the branch rows p = (1/√2)·[b0; b1]^*·M outcome r projects the
-    joint state to amp0·p_i ± amp1·p_j; neither the (n+1)-qubit joint vector
-    nor the basis states are built. The outcome is drawn from the exact Born
+    [amp0·M; amp1·M], M being the resource's. The four sender basis states
+    (|0⟩|b_i⟩ ± |1⟩|b_j⟩)/√2, (i, j) = (0, 1) or (1, 0), pair branches b_i,
+    b_j with information |0⟩, |1⟩, so with the branch rows
+    p = (1/√2)·[b0; b1]^*·M outcome r projects the joint state to
+    amp0·p_i ± amp1·p_j; neither the (n+1)-qubit joint vector nor the basis
+    states are built. The outcome is drawn from the exact Born
     weights with a seeded generator, so identical arguments reproduce
     identical runs. The correction matrix is unitary by construction and is
     applied without re-checking it.
@@ -211,7 +199,7 @@ def haar_info_samples(count: int, rng=None) -> np.ndarray:
     draw :func:`haar_random_info` and :func:`average_fidelity_mc` use.
     """
     if not (is_int(count) and count >= 1):
-        raise OutOfRange(f"count must be an integer ≥ 1, got {count!r}")
+        raise OutOfRange(f"count must be an integer ≥ 1, got {_shown(count)}")
     x = _haar_normals(count, _generator(rng))
     raw = x[0] + 1j * x[1]
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -235,7 +223,7 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
     within 1e-15 of |amp0|² computed from its complex output.
     """
     if not (is_int(samples) and 1 <= samples <= MC_MAX_SAMPLES):
-        raise OutOfRange(f"samples must be an integer in 1..{MC_MAX_SAMPLES}, got {samples!r}")
+        raise OutOfRange(f"samples must be an integer in 1..{MC_MAX_SAMPLES}, got {_shown(samples)}")
     form = schmidt_form(resource, bob)
     ca, cb = form.coeff0, form.coeff1
     gen = _generator(seed)

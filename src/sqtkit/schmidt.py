@@ -38,10 +38,9 @@ branches are read-only arrays, not StateVectors, and the split keeps no
 branches. The form and its Gram triple are kept as one record per receiver
 in the state's memo, so repeated calls on one state return the same objects;
 a split read before any form recomputes its Gram step and stores nothing.
-`rotation_candidates` keeps the quadratic with both roots as an oracle, and
 `concurrence_via_density` is an independent route to C through a QR
 factorization of the two-column amplitude matrix, done in closed form with
-two Gram–Schmidt passes; neither reads the memo.
+two Gram–Schmidt passes; it reads no memo.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, WrongQubitCount
-from .statevec import PAULI_X, StateVector, _norm, check_qubit_index
+from .statevec import PAULI_X, StateVector, _norm, _shown, check_qubit_index
 
 # Branch weight below this counts as an absent branch; block overlap below it
 # counts as already orthogonal (z = 0 then leaves a residual ≪ 1e-10).
@@ -104,8 +103,7 @@ def _check_receiver(sv: StateVector, bob: int) -> None:
 def _receiver_blocks(sv: StateVector, bob: int) -> np.ndarray:
     """The (2^(n−1), 2) matrix M whose columns are the receiver-|0⟩ and
     receiver-|1⟩ blocks A·|ψ0⟩ and B·|ψ1⟩, the other qubits kept in their
-    original relative order."""
-    _check_receiver(sv, bob)
+    original relative order. Callers check bob with _check_receiver first."""
     # index = (qubits before bob, bob, qubits after bob); bob's axis goes last
     return sv.amps.reshape(1 << bob, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
 
@@ -124,26 +122,6 @@ def split_by_receiver(sv: StateVector, bob: int) -> BipartiteSplit:
     w0, w1, g = found[0] if found else _gram(_receiver_blocks(sv, bob))
     overlap = g / (w0 * w1) if w0 > DEGENERATE_TOL and w1 > DEGENERATE_TOL else 0j
     return BipartiteSplit(w0, w1, overlap)
-
-
-def rotation_candidates(split: BipartiteSplit) -> tuple[complex, complex]:
-    """Both admissible receiver-basis rotations for a split.
-
-    Roots of A·B·K·z² + (A² − B²)·z − A·B·K* = 0, evaluated in the
-    cancellation-free order: the larger-magnitude root from the quadratic
-    formula, the other from the root product −K*/K. Degenerate splits
-    (absent branch or K ≈ 0) return (0, 0).
-    """
-    k = split.overlap
-    ab = split.weight0 * split.weight1
-    if split.weight0 < DEGENERATE_TOL or split.weight1 < DEGENERATE_TOL or abs(k) < OVERLAP_TOL:
-        return (0j, 0j)
-    mid = split.weight0**2 - split.weight1**2
-    disc = math.sqrt(mid * mid + 4.0 * ab * ab * abs(k) ** 2)
-    q = -(mid + math.copysign(disc, mid)) / 2.0 if mid != 0.0 else -disc / 2.0
-    z1 = q / (ab * k)
-    z2 = -ab * k.conjugate() / q
-    return (complex(z1), complex(z2))
 
 
 def _top_root(w0: float, w1: float, g: complex) -> complex:
@@ -247,5 +225,5 @@ def concurrence_via_density(sv: StateVector, bob: int) -> float:
 def maf(concurrence: float) -> float:
     """Maximal average teleportation fidelity (2 + C)/3 for concurrence C."""
     if not -1e-12 <= concurrence <= 1.0 + 1e-12:
-        raise OutOfRange(f"concurrence must lie in [0, 1], got {concurrence}")
+        raise OutOfRange(f"concurrence must lie in [0, 1], got {_shown(concurrence)}")
     return (2.0 + min(max(concurrence, 0.0), 1.0)) / 3.0

@@ -1,12 +1,11 @@
-"""Dense pure states of up to 12 qubits: validation, basis kets and qubit
-permutations.
+"""Dense pure states of up to 12 qubits: validation and qubit permutations.
 
 Bit ordering: qubit 0 is the most significant bit of the amplitude index, so
 for n = 3 the amplitude at index 0b011 belongs to |011⟩ (qubit 0 in state 0,
 qubits 1 and 2 in state 1). The receiver's qubit defaults to index n − 1.
 
 A `StateVector` holds checked input only: amplitudes from outside, or from
-`new_state`, `basis_state`, `permute_qubits` and `random_state`. Each
+`new_state`, `permute_qubits` and `random_state`. Each
 construction refuses a norm further than `NORM_TOL` from one, or NaN, through
 `check_unit_norm`, the package's one unit-norm gate. Vectors that the analysis
 and the protocol derive are plain read-only complex arrays. All functions here
@@ -40,6 +39,8 @@ from .errors import (
 MAX_QUBITS = 12
 NORM_TOL = 1e-9
 
+_BOOLS = {bool, np.bool_}
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 for _m in (PAULI_X, PAULI_Z):
@@ -64,6 +65,9 @@ class StateVector:
 
     def __post_init__(self):
         check_qubit_count(self.n)
+        # numpy would promote a bool mixed with numbers ([True, 0]) before the dtype gate
+        if isinstance(self.amps, (list, tuple)) and not _BOOLS.isdisjoint(map(type, self.amps)):
+            raise OutOfRange("amplitudes must be numbers, got a bool among them")
         amps = np.asarray(self.amps)
         if amps.dtype.kind not in "iufc":
             raise OutOfRange(f"amplitudes must be numbers, got an array of dtype {amps.dtype}")
@@ -107,14 +111,13 @@ def check_unit_norm(norm: float) -> None:
         raise NotNormalized(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
 
 
-def basis_state(n: int, index: int) -> StateVector:
-    """Computational basis ket whose bit pattern is `index` (qubit 0 = MSB)."""
-    check_qubit_count(n)
-    if not (is_int(index) and 0 <= index < 2**n):
-        raise IndexOutOfRange(f"basis index {index} outside 0..{2 ** n - 1}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(n, amps)
+def _shown(x) -> str:
+    """repr(x) for a refusal message; Python will not print an int of more than
+    sys.get_int_max_str_digits() digits, which gets a fixed text instead."""
+    try:
+        return repr(x)
+    except ValueError:
+        return "<a value too long to print>"
 
 
 def is_int(x) -> bool:
@@ -139,12 +142,12 @@ def _fits_float(x) -> bool:
 
 def check_qubit_count(n: int) -> None:
     if not (is_int(n) and 1 <= n <= MAX_QUBITS):
-        raise TooManyQubits(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+        raise TooManyQubits(f"qubit count must be in 1..{MAX_QUBITS}, got {_shown(n)}")
 
 
 def check_qubit_index(n: int, q: int) -> None:
     if not (is_int(q) and 0 <= q < n):
-        raise IndexOutOfRange(f"qubit {q} outside 0..{n - 1}")
+        raise IndexOutOfRange(f"qubit {_shown(q)} outside 0..{n - 1}")
 
 
 def permute_qubits(sv: StateVector, perm) -> StateVector:
@@ -155,7 +158,7 @@ def permute_qubits(sv: StateVector, perm) -> StateVector:
     """
     perm = list(perm)
     if not all(map(is_int, perm)) or sorted(perm) != list(range(sv.n)):
-        raise InvalidPermutation(f"{perm} is not a permutation of 0..{sv.n - 1}")
+        raise InvalidPermutation(f"{_shown(perm)} is not a permutation of 0..{sv.n - 1}")
     # transpose places input axis axes[k] at output position k, so sending
     # qubit i to position perm[i] needs the inverse permutation as axes
     axes = [0] * sv.n

@@ -3,7 +3,10 @@
 These deliberately avoid the package's vectorized code paths: the density
 matrix is a double loop over basis states, reconstruction reassembles a
 Schmidt form from scratch, and a one-qubit gate is applied to the full
-amplitude tensor, so each acts as an independent referee.
+amplitude tensor, so each acts as an independent referee. The rotation
+quadratic with both roots and the four explicit sender basis states are the
+paper's own constructions, which the engine replaces by the closed-form top
+root and a projection onto two branch rows; they are kept here as referees.
 """
 
 import math
@@ -11,10 +14,12 @@ import math
 import numpy as np
 
 from sqtkit import (
+    BipartiteSplit,
+    IndexOutOfRange,
+    SchmidtForm,
     StateVector,
     acin_alternative,
     acin_canonical,
-    basis_state,
     ghz,
     move_to_last_perm,
     new_state,
@@ -25,9 +30,55 @@ from sqtkit import (
     w_general,
     zha_counterexample,
 )
-from sqtkit.statevec import check_qubit_index
+from sqtkit.protocol import _OUTCOMES
+from sqtkit.schmidt import DEGENERATE_TOL, OVERLAP_TOL
+from sqtkit.statevec import check_qubit_count, check_qubit_index, is_int
 
 SQRT_HALF = math.sqrt(0.5)
+
+
+def basis_state(n: int, index: int) -> StateVector:
+    """Computational basis ket whose bit pattern is `index` (qubit 0 = MSB)."""
+    check_qubit_count(n)
+    if not (is_int(index) and 0 <= index < 2**n):
+        raise IndexOutOfRange(f"basis index {index} outside 0..{2 ** n - 1}")
+    amps = np.zeros(2**n, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(n, amps)
+
+
+def rotation_candidates(split: BipartiteSplit) -> tuple[complex, complex]:
+    """Both admissible receiver-basis rotations for a split.
+
+    Roots of A·B·K·z² + (A² − B²)·z − A·B·K* = 0, evaluated in the
+    cancellation-free order: the larger-magnitude root from the quadratic
+    formula, the other from the root product −K*/K. Degenerate splits
+    (absent branch or K ≈ 0) return (0, 0).
+    """
+    k = split.overlap
+    ab = split.weight0 * split.weight1
+    if split.weight0 < DEGENERATE_TOL or split.weight1 < DEGENERATE_TOL or abs(k) < OVERLAP_TOL:
+        return (0j, 0j)
+    mid = split.weight0**2 - split.weight1**2
+    disc = math.sqrt(mid * mid + 4.0 * ab * ab * abs(k) ** 2)
+    q = -(mid + math.copysign(disc, mid)) / 2.0 if mid != 0.0 else -disc / 2.0
+    z1 = q / (ab * k)
+    z2 = -ab * k.conjugate() / q
+    return (complex(z1), complex(z2))
+
+
+def measurement_basis(form: SchmidtForm) -> tuple[np.ndarray, ...]:
+    """The four orthonormal sender states over (information qubit, n−1
+    resource qubits), built from the Schmidt branches as read-only arrays:
+    Ψ(0,1) = (|0⟩|branch0⟩ ± |1⟩|branch1⟩)/√2 and
+    Ψ(2,3) = (|0⟩|branch1⟩ ± |1⟩|branch0⟩)/√2. They are the reference the
+    explicit run is tested against: :func:`run_teleport` projects onto them
+    without building them."""
+    b = form.branch0, form.branch1
+    pairs = [(b[i], b[j] if sign > 0 else -b[j]) for i, j, sign in _OUTCOMES]
+    states = SQRT_HALF * np.array([np.concatenate(pair) for pair in pairs])
+    states.flags.writeable = False  # the rows handed out are read-only views of it
+    return tuple(states)
 
 
 def apply_one_qubit(sv: StateVector, q: int, op) -> StateVector:

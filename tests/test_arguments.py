@@ -14,12 +14,18 @@ from sqtkit import (
     SqtError,
     acin_alternative,
     acin_canonical,
+    average_fidelity_mc,
     check_general,
     classify_acin_alt,
     classify_zha,
+    correction_matrix,
     ghz,
+    haar_info_samples,
+    maf,
     new_state,
+    permute_qubits,
     random_state,
+    run_teleport,
     schmidt_branch_family,
     separable_branch_family,
     w_general,
@@ -77,11 +83,42 @@ def test_junk_argument_raises_a_typed_error(name, index, junk):
         build(*args[:index], junk, *args[index + 1:])
 
 
-@pytest.mark.parametrize("amps", [["x", 0], ["0.5", 0], [None, 0], [True, False], np.array(["1", "0"])],
-                         ids=repr)
+# numpy promotes a bool mixed with numbers, so [True, 0] used to be read as |0⟩
+@pytest.mark.parametrize("amps", [["x", 0], ["0.5", 0], [None, 0], [True, False], np.array(["1", "0"]),
+                                  [True, 0], [np.True_, 0], (True, 0.0), [0.0, np.False_]], ids=repr)
 def test_amplitudes_must_be_numbers(amps):
     with pytest.raises(OutOfRange, match="amplitudes must be numbers"):
         new_state(1, amps)
+
+
+LONG = 10**5000  # Python will not print an int of more than 4,300 digits
+LONG_INT_CALLS = {
+    "ghz": lambda: ghz(LONG),
+    "random_state": lambda: random_state(LONG),
+    "new_state-count": lambda: new_state(LONG, [1]),
+    "permute_qubits": lambda: permute_qubits(ghz(3), [LONG, 0, 1]),
+    "check_general-bob": lambda: check_general(ghz(3), LONG),
+    "check_general-tol": lambda: check_general(ghz(3), 2, LONG),
+    "acin_canonical-coefficient": lambda: acin_canonical(LONG, 0, 0, 0, 0),
+    "acin_canonical-theta": lambda: acin_canonical(1, 0, 0, 0, 0, LONG),
+    "classify_zha": lambda: classify_zha((LONG, 0, 0, 0, 0)),
+    "separable_branch_family": lambda: separable_branch_family(LONG, 0),
+    "schmidt_branch_family": lambda: schmidt_branch_family(LONG, 0.5, 0.0, 0.5),
+    "w_general": lambda: w_general(LONG, 0, 0),
+    "InfoQubit": lambda: InfoQubit(LONG, 0),
+    "correction_matrix": lambda: correction_matrix(LONG, np.eye(2)),
+    "haar_info_samples": lambda: haar_info_samples(-LONG),
+    "average_fidelity_mc": lambda: average_fidelity_mc(ghz(3), 2, LONG),
+    "run_teleport-seed": lambda: run_teleport(InfoQubit(1, 0), ghz(3), 2, -LONG),
+    "maf": lambda: maf(LONG),
+}
+
+
+@pytest.mark.parametrize("name", LONG_INT_CALLS)
+def test_refusing_an_unprintable_int_still_raises_the_typed_error(name):
+    # building the message used to end in a bare ValueError from repr or str
+    with pytest.raises(SqtError):
+        LONG_INT_CALLS[name]()
 
 
 HUGE = 10**400  # a Python int that no float can hold

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import FAMILY_MEMBERS
+from helpers import FAMILY_MEMBERS, basis_state
 from sqtkit import (
     ConstraintViolated,
     NotNormalized,
@@ -11,7 +11,6 @@ from sqtkit import (
     WrongQubitCount,
     acin_canonical,
     average_fidelity_mc,
-    basis_state,
     check_3qubit,
     check_general,
     classify_acin_alt,

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import basis_state, measurement_basis
 from sqtkit import protocol
 from sqtkit import (
     CORRECTION_LABELS,
@@ -12,14 +13,12 @@ from sqtkit import (
     NotNormalized,
     OutOfRange,
     average_fidelity_mc,
-    basis_state,
     concurrence_via_density,
     correction_matrix,
     ghz,
     haar_info_samples,
     haar_random_info,
     maf,
-    measurement_basis,
     move_to_last_perm,
     new_state,
     outcome_table,

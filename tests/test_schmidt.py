@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import FAMILY_MEMBERS, brute_force_concurrence, reconstruct_form
+from helpers import (
+    FAMILY_MEMBERS,
+    basis_state,
+    brute_force_concurrence,
+    reconstruct_form,
+    rotation_candidates,
+)
 from sqtkit import (
     IndexOutOfRange,
     InfoQubit,
@@ -11,7 +17,6 @@ from sqtkit import (
     StateVector,
     WrongQubitCount,
     average_fidelity_mc,
-    basis_state,
     check_3qubit,
     check_general,
     concurrence,
@@ -22,7 +27,6 @@ from sqtkit import (
     new_state,
     permute_qubits,
     random_state,
-    rotation_candidates,
     rotation_matrix,
     run_teleport,
     schmidt_form,

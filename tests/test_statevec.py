@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import apply_one_qubit, brute_force_density
+from helpers import apply_one_qubit, basis_state, brute_force_density
 from sqtkit import (
     PAULI_X,
     PAULI_Z,
@@ -16,7 +16,6 @@ from sqtkit import (
     NotNormalized,
     StateVector,
     TooManyQubits,
-    basis_state,
     classify_zha,
     move_to_last_perm,
     new_state,
@@ -285,7 +284,9 @@ class TestPermuteQubits:
 
 def receiver_density(sv, q):
     """Reduced density ρ = [[A², g], [g*, B²]] of qubit q, as the Schmidt
-    engine reads it from the one product M†M of the receiver blocks."""
+    engine reads it from the one product M†M of the receiver blocks, after
+    checking the receiver as every engine caller does."""
+    check_qubit_index(sv.n, q)
     a, b, g = _gram(_receiver_blocks(sv, q))
     return np.array([[a * a, g], [g.conjugate(), b * b]])
 
