@@ -21,7 +21,7 @@ import numpy as np
 from .errors import OutOfRange
 from .families import SQRT_HALF, _generator
 from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
-from .statevec import PAULI_X, PAULI_Z, StateVector, _shown, is_int, is_number, new_state
+from .statevec import PAULI_X, PAULI_Z, StateVector, _shown, is_int, new_state
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 # Outcome r's (branch paired with information |0⟩, branch paired with |1⟩, sign)
@@ -46,9 +46,6 @@ class InfoQubit:
     amp1: complex
 
     def __post_init__(self):
-        if not (is_number(self.amp0) and is_number(self.amp1)):
-            raise OutOfRange(
-                f"info amplitudes must be numbers, got {_shown(self.amp0)} and {_shown(self.amp1)}")
         amp0, amp1 = new_state(1, (self.amp0, self.amp1)).amps.tolist()
         object.__setattr__(self, "amp0", amp0)
         object.__setattr__(self, "amp1", amp1)
@@ -158,7 +155,7 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     """
     form = schmidt_form(resource, bob)
     rows = SQRT_HALF * np.array((form.branch0, form.branch1)).conj()
-    p = (rows @ _receiver_blocks(resource, bob)).tolist()
+    p = (rows @ _receiver_blocks(resource, bob).T).tolist()
     a0, a1 = info.amp0, info.amp1
     proj = [[a0 * x + a1 * y if sign > 0 else a0 * x - a1 * y for x, y in zip(p[i], p[j])]
             for i, j, sign in _OUTCOMES]

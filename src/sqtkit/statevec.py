@@ -5,9 +5,11 @@ for n = 3 the amplitude at index 0b011 belongs to |011⟩ (qubit 0 in state 0,
 qubits 1 and 2 in state 1). The receiver's qubit defaults to index n − 1.
 
 A `StateVector` holds checked input only: amplitudes from outside, or from
-`new_state`, `permute_qubits` and `random_state`. Each
-construction refuses a norm further than `NORM_TOL` from one, or NaN, through
-`check_unit_norm`, the package's one unit-norm gate. Vectors that the analysis
+`new_state`, `permute_qubits` and `random_state`, always as a flat vector of
+2**n numbers (a list or tuple of numbers, or a 1-D numeric array; nothing is
+flattened for the caller). Each construction refuses a norm further than
+`NORM_TOL` from one, or NaN, through `check_unit_norm`, the package's one
+unit-norm gate; an overflowing norm reads inf. Vectors that the analysis
 and the protocol derive are plain read-only complex arrays. All functions here
 are pure, and every stored amplitude array is read-only.
 
@@ -39,8 +41,6 @@ from .errors import (
 MAX_QUBITS = 12
 NORM_TOL = 1e-9
 
-_BOOLS = {bool, np.bool_}
-
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 for _m in (PAULI_X, PAULI_Z):
@@ -51,9 +51,10 @@ for _m in (PAULI_X, PAULI_Z):
 class StateVector:
     """Checked amplitude vector over 2**n basis states.
 
-    The constructor checks n, that the amplitudes are numbers (bools, strings
-    and objects raise `OutOfRange`), the shape and the norm (within `NORM_TOL`
-    of one, NaN refused) and copies its input; :func:`new_state` also
+    The constructor checks n, that the amplitudes are numbers (bools, strings,
+    nested lists and objects raise `OutOfRange`), that they form a flat vector
+    of 2**n (`DimensionMismatch`) and the norm (within `NORM_TOL` of one, NaN
+    refused) and copies its input; :func:`new_state` also
     renormalizes exactly. The analysis and the protocol never wrap the vectors
     they derive in it.
     """
@@ -65,17 +66,18 @@ class StateVector:
 
     def __post_init__(self):
         check_qubit_count(self.n)
-        # numpy would promote a bool mixed with numbers ([True, 0]) before the dtype gate
-        if isinstance(self.amps, (list, tuple)) and not _BOOLS.isdisjoint(map(type, self.amps)):
-            raise OutOfRange("amplitudes must be numbers, got a bool among them")
+        # judge each element before numpy promotes a bool ([True, 0]) or reads a nested list
+        if isinstance(self.amps, (list, tuple)):
+            for a in self.amps:
+                if not is_number(a):
+                    raise OutOfRange(f"amplitudes must be numbers, got {_shown(a)}")
         amps = np.asarray(self.amps)
         if amps.dtype.kind not in "iufc":
             raise OutOfRange(f"amplitudes must be numbers, got an array of dtype {amps.dtype}")
-        amps = np.array(amps, dtype=complex, order="C").reshape(-1)
-        if amps.size != 2**self.n:
-            raise DimensionMismatch(
-                f"expected {2 ** self.n} amplitudes for n={self.n}, got {amps.size}"
-            )
+        if amps.shape != (2**self.n,):
+            raise DimensionMismatch(f"expected a flat vector of {2 ** self.n} amplitudes "
+                                    f"for n={self.n}, got shape {amps.shape}")
+        amps = np.array(amps, dtype=complex)
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
         check_unit_norm(self.norm())
@@ -89,8 +91,12 @@ class StateVector:
 
 
 def _norm(x: np.ndarray) -> float:
-    # vdot raises no numpy overflow warning: huge amplitudes give inf or NaN
-    return math.sqrt(np.vdot(x, x).real)
+    # vdot raises no numpy overflow warning: huge amplitudes give inf, or NaN
+    # where its complex product forms inf − inf, which is an overflow too
+    norm = math.sqrt(np.vdot(x, x).real)
+    if norm != norm and not np.isnan(x).any():
+        return math.inf
+    return norm
 
 
 def new_state(n: int, amps) -> StateVector:
@@ -164,8 +170,8 @@ def permute_qubits(sv: StateVector, perm) -> StateVector:
     axes = [0] * sv.n
     for i, p in enumerate(perm):
         axes[p] = i
-    # StateVector copies the transposed view into a fresh C-ordered array
-    return StateVector(sv.n, np.transpose(sv.tensor_view(), axes))
+    # reshape copies the transposed view into a fresh C-ordered array
+    return StateVector(sv.n, np.transpose(sv.tensor_view(), axes).reshape(-1))
 
 
 def move_to_last_perm(n: int, q: int) -> list[int]:

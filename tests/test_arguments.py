@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from sqtkit import (
+    DimensionMismatch,
     InfoQubit,
     OutOfRange,
     SqtError,
+    StateVector,
     acin_alternative,
     acin_canonical,
     average_fidelity_mc,
@@ -89,6 +91,37 @@ def test_junk_argument_raises_a_typed_error(name, index, junk):
 def test_amplitudes_must_be_numbers(amps):
     with pytest.raises(OutOfRange, match="amplitudes must be numbers"):
         new_state(1, amps)
+
+
+# a ragged list ended in a bare numpy ValueError, and a nested list was
+# flattened, so [[True], [0]] was read as |0⟩
+NESTED = {"ragged": [1, [0]], "nested": [[SQRT_HALF], [SQRT_HALF]], "nested-bool": [[True], [0]]}
+AMPLITUDE_BUILDERS = {
+    "StateVector": lambda amps: StateVector(1, amps),
+    "new_state": lambda amps: new_state(1, amps),
+    "InfoQubit": lambda amps: InfoQubit(*amps),
+}
+
+
+@pytest.mark.parametrize("amps", NESTED.values(), ids=NESTED.keys())
+@pytest.mark.parametrize("build", AMPLITUDE_BUILDERS.values(), ids=AMPLITUDE_BUILDERS.keys())
+def test_nested_amplitudes_are_refused(build, amps):
+    with pytest.raises(OutOfRange, match="amplitudes must be numbers"):
+        build(amps)
+
+
+# a 2-D array or a nested list used to be flattened
+@pytest.mark.parametrize("n, amps, error", [
+    (2, np.eye(2) * SQRT_HALF, DimensionMismatch),
+    (1, np.array([[1.0, 0.0]]), DimensionMismatch),
+    (1, np.array(1.0), DimensionMismatch),
+    (1, [[True, 0]], OutOfRange),
+    (2, [[0.5, 0.5], [0.5, 0.5]], OutOfRange),
+], ids=["eye", "row", "scalar", "nested-bool-row", "nested-rows"])
+@pytest.mark.parametrize("build", [StateVector, new_state], ids=["StateVector", "new_state"])
+def test_amplitudes_must_be_a_flat_vector(build, n, amps, error):
+    with pytest.raises(error):
+        build(n, amps)
 
 
 LONG = 10**5000  # Python will not print an int of more than 4,300 digits

@@ -33,7 +33,7 @@ from sqtkit import (
     split_by_receiver,
     w_general,
 )
-from sqtkit.schmidt import DEGENERATE_TOL, OVERLAP_TOL
+from sqtkit.schmidt import CONCURRENCE_SLACK, DEGENERATE_TOL, OVERLAP_TOL
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -401,6 +401,14 @@ class TestMaf:
             maf(1.5)
         with pytest.raises(OutOfRange):
             maf(-0.2)
+
+    def test_slack_edges(self):
+        # the slack itself is admitted and clamped, twice the slack is refused
+        assert maf(1.0 + CONCURRENCE_SLACK) == 1.0
+        assert maf(-CONCURRENCE_SLACK) == 2.0 / 3.0
+        for c in (1.0 + 2 * CONCURRENCE_SLACK, -2 * CONCURRENCE_SLACK):
+            with pytest.raises(OutOfRange):
+                maf(c)
 
 
 FORM_FIELDS = ("coeff0", "coeff1", "z", "concurrence")
