@@ -28,10 +28,10 @@ CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 _OUTCOMES = ((0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1))
 # Haar samples drawn and reduced at a time by average_fidelity_mc, which
 # bounds its memory whatever the sample count: the tracemalloc peak of one
-# full chunk is 50 MB (48 MiB), the 32 MiB of normals plus two weight arrays.
+# full chunk is 16.8 MB (16 MiB), the chunk's weights and its values.
 MC_CHUNK = 1 << 20
-# Largest sample count average_fidelity_mc accepts: about 2 minutes of draws
-# (1024 chunks at ~0.1 s each); larger requests are refused before any draw.
+# Largest sample count average_fidelity_mc accepts: about 12 seconds of draws
+# (1024 chunks at ~11 ms each); larger requests are refused before any draw.
 MC_MAX_SAMPLES = 1 << 30
 # An outcome of probability P ≤ ZERO_PROB never occurs: outcome_table reports
 # fidelity 0 for it and the receiver qubit |0̄⟩, as nothing is left to normalize.
@@ -134,7 +134,8 @@ def outcome_table(info: InfoQubit, form: SchmidtForm) -> list[OutcomeRecord]:
 def _draw_outcome(probs: list[float], rng: np.random.Generator) -> int:
     """Sample an index from unnormalized Born weights by cumulative inversion."""
     edges = list(itertools.accumulate(probs))
-    r = bisect.bisect_right(edges, rng.uniform(0.0, edges[-1]))
+    # the same double and generator step as rng.uniform(0.0, edges[-1]), without its checks
+    r = bisect.bisect_right(edges, edges[-1] * rng.random())
     return min(r, len(edges) - 1)
 
 
@@ -171,34 +172,17 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     return TeleportResult(record, final)
 
 
-def _haar_normals(count: int, gen: np.random.Generator) -> np.ndarray:
-    """(2, count, 2) standard normals: the real parts of count complex
-    Gaussian pairs, then their imaginary parts. One call draws the same values
-    and leaves the generator in the same state as two (count, 2) draws."""
-    return gen.standard_normal((2, count, 2))
-
-
-def _haar_weights(count: int, gen: np.random.Generator) -> np.ndarray:
-    """|amp0|² of the count Haar qubits that :func:`haar_info_samples` would
-    draw from gen, computed in real arithmetic from the same normals; each
-    weight is within 1e-15 of |haar_info_samples(count, gen)[:, 0]|²."""
-    x = _haar_normals(count, gen)
-    x *= x
-    w = x[0]  # |amp|² of both amplitudes, not yet normalized
-    w += x[1]
-    return w[:, 0] / (w[:, 0] + w[:, 1])
-
-
 def haar_info_samples(count: int, rng=None) -> np.ndarray:
     """(count, 2) array of Haar-random qubit amplitude pairs.
 
     Two independent complex Gaussians per row, normalized; this is the same
-    draw :func:`haar_random_info` and :func:`average_fidelity_mc` use.
+    draw :func:`haar_random_info` uses, and its |amp0|² is the uniform weight
+    that :func:`average_fidelity_mc` draws directly.
     """
     if not (is_int(count) and count >= 1):
         raise OutOfRange(f"count must be an integer ≥ 1, got {_shown(count)}")
-    x = _haar_normals(count, _generator(rng))
-    raw = x[0] + 1j * x[1]
+    gen = _generator(rng)
+    raw = gen.standard_normal((count, 2)) + 1j * gen.standard_normal((count, 2))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
@@ -213,16 +197,18 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
 
     Samples Haar-random information qubits and averages the already-summed
     outcome-weighted fidelity, which for weights (p, 1−p) = (|amp0|², |amp1|²)
-    is Σ_r P(r)·F(r) = (p·Ā + (1−p)·B̄)² + ((1−p)·Ā + p·B̄)². Only the
-    information state is sampled; the sum over outcomes is exact. Each p is
-    read in real arithmetic from the same normals :func:`haar_info_samples`
-    draws, so a seed gives the same Haar qubits as that function, with p
-    within 1e-15 of |amp0|² computed from its complex output.
+    is Σ_r P(r)·F(r) = (B̄ + p·(Ā − B̄))² + (Ā − p·(Ā − B̄))². Only the
+    information state is sampled; the sum over outcomes is exact. For a Haar
+    qubit p = (1 + z)/2 with the Bloch coordinate z uniform on [−1, 1]
+    (Archimedes), so p is uniform on [0, 1] and each sample draws it as one
+    ``random()`` double; the complex amplitudes, which the sum does not read,
+    are never formed.
     """
     if not (is_int(samples) and 1 <= samples <= MC_MAX_SAMPLES):
         raise OutOfRange(f"samples must be an integer in 1..{MC_MAX_SAMPLES}, got {_shown(samples)}")
     form = schmidt_form(resource, bob)
     ca, cb = form.coeff0, form.coeff1
+    d = ca - cb
     gen = _generator(seed)
     # Chunks of at most MC_CHUNK draws from one generator, merged exactly
     # (Chan et al.): with a single chunk the result is values.mean() and
@@ -230,11 +216,17 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, samples, MC_CHUNK):
         size = min(MC_CHUNK, samples - start)
-        pa = _haar_weights(size, gen)
-        pb = 1.0 - pa
-        values = (pa * ca + pb * cb) ** 2 + (pb * ca + pa * cb) ** 2
+        p = gen.random(size)
+        p *= d
+        values = p + cb
+        values *= values
+        p -= ca  # −(Ā − p·(Ā − B̄)), whose square is the same double
+        p *= p
+        values += p
         chunk_mean = float(values.mean())
-        chunk_m2 = float(np.sum((values - chunk_mean) ** 2))
+        values -= chunk_mean
+        values *= values
+        chunk_m2 = float(values.sum())
         total = count + size
         delta = chunk_mean - mean
         mean += delta * (size / total)

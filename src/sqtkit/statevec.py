@@ -63,6 +63,8 @@ class StateVector:
     amps: np.ndarray
     # receiver qubit -> (Gram triple, SchmidtForm) of amps, filled by sqtkit.schmidt
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # the norm the constructor's gate judged, which new_state divides by
+    _checked_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         check_qubit_count(self.n)
@@ -80,7 +82,9 @@ class StateVector:
         amps = np.array(amps, dtype=complex)
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-        check_unit_norm(self.norm())
+        norm = self.norm()
+        check_unit_norm(norm)
+        object.__setattr__(self, "_checked_norm", norm)
 
     def norm(self) -> float:
         return _norm(self.amps)
@@ -106,7 +110,7 @@ def new_state(n: int, amps) -> StateVector:
     # the constructor's copy is not yet shared: renormalize it in place
     amps = sv.amps
     amps.flags.writeable = True
-    amps /= sv.norm()
+    amps /= sv._checked_norm
     amps.flags.writeable = False
     return sv
 

@@ -385,7 +385,7 @@ GOLDEN_W = {
     "teleport-samples": (["--samples", "1000", "--seed", "2"], 0, [
         "state: w (n=3), receiver qubit 2",
         "samples:            1000",
-        "mc estimate:        0.980600 ± 0.000270",
+        "mc estimate:        0.980868 ± 0.000264",
         "closed form (2+C)/3: 0.980936",
     ]),
 }

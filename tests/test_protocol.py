@@ -264,6 +264,12 @@ class TestRunTeleport:
             assert result.record.fidelity == pytest.approx(rec.fidelity, abs=1e-12)
             assert result.record.prob == pytest.approx(rec.prob, abs=1e-12)
 
+    def test_a_passed_generator_advances_by_one_double(self):
+        gen, twin = np.random.default_rng(3), np.random.default_rng(3)
+        run_teleport(haar_random_info(1), standard_w(), 2, seed=gen)
+        twin.random()
+        assert gen.bit_generator.state == twin.bit_generator.state
+
     def test_born_rule_frequencies(self):
         # distribution check via a long vectorized draw from the projection
         # probabilities, plus a shorter full-pipeline run
@@ -363,23 +369,32 @@ class TestHaarSampling:
             expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
             assert haar_info_samples(count, seed).tobytes() == expected.tobytes()
 
-    def test_shared_draw_leaves_the_generator_where_two_draws_do(self):
-        one, two = np.random.default_rng(4), np.random.default_rng(4)
-        protocol._haar_normals(7, one)
-        two.standard_normal((7, 2)), two.standard_normal((7, 2))
-        assert one.standard_normal(5).tobytes() == two.standard_normal(5).tobytes()
-
-    @pytest.mark.parametrize("count", [1, 2, 7, 1000, 10_000])
-    def test_mc_weights_match_the_complex_samples(self, count):
-        for seed in range(50):
-            weights = protocol._haar_weights(count, np.random.default_rng(seed))
-            pa = np.abs(haar_info_samples(count, seed)[:, 0]) ** 2
-            assert np.max(np.abs(weights - pa)) <= 1e-15
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mc_weights_are_distributed_as_haar_weights(self, seed):
+        # the estimator's p (np.random.default_rng(seed).random, pinned by
+        # TestMonteCarloChunks) against |amp0|² of the Gaussian Haar sampler:
+        # a two-sample Kolmogorov–Smirnov test at significance 1e-3
+        count = 20_000
+        mc = np.random.default_rng(seed).random(count)
+        haar = np.abs(haar_info_samples(count, seed + 100)[:, 0]) ** 2
+        critical = math.sqrt(-0.5 * math.log(1e-3 / 2)) * math.sqrt(2 / count)
+        assert _ks_statistic(mc, haar) < critical
+        # positive control: the same test tells a non-uniform weight apart
+        assert _ks_statistic(mc**2, haar) > critical
 
     @pytest.mark.parametrize("count", [2.5, 1e3, True])
     def test_rejects_non_integer_count(self, count):
         with pytest.raises(OutOfRange, match="integer"):
             haar_info_samples(count)
+
+
+def _ks_statistic(a, b):
+    """Two-sample Kolmogorov–Smirnov statistic: the largest gap between the
+    empirical distribution functions of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    gap = np.searchsorted(a, grid, side="right") / a.size - np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(gap)))
 
 
 class TestAverageFidelityMc:
@@ -437,46 +452,52 @@ class TestAverageFidelityMc:
 
     @pytest.mark.parametrize("samples", [protocol.MC_MAX_SAMPLES + 1, 100_000_000_000])
     def test_refuses_counts_beyond_the_cap_before_drawing(self, monkeypatch, samples):
-        monkeypatch.setattr(protocol, "_haar_normals", _no_draws)
+        monkeypatch.setattr(protocol, "_generator", _no_draws)
         with pytest.raises(OutOfRange, match=str(protocol.MC_MAX_SAMPLES)):
             average_fidelity_mc(ghz(3), 2, samples, 0)
 
     @pytest.mark.parametrize("samples", [2.5, 1e3, True, np.float64(10.0)])
     def test_refuses_non_integer_counts_before_drawing(self, monkeypatch, samples):
-        monkeypatch.setattr(protocol, "_haar_normals", _no_draws)
+        monkeypatch.setattr(protocol, "_generator", _no_draws)
         with pytest.raises(OutOfRange, match="integer"):
             average_fidelity_mc(ghz(3), 2, samples, 0)
 
     def test_valid_count_reaches_the_patched_draw(self, monkeypatch):
         # positive control for the two tests above: the patch is on the path
-        monkeypatch.setattr(protocol, "_haar_normals", _no_draws)
+        monkeypatch.setattr(protocol, "_generator", _no_draws)
         with pytest.raises(AssertionError, match="drew samples"):
             average_fidelity_mc(ghz(3), 2, 10, 0)
 
     def test_accepts_numpy_integer_count(self):
         assert average_fidelity_mc(ghz(3), 2, np.int64(100), 0).samples == 100
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equal_coefficients_give_zero_stderr(self, n):
+        # with Ā = B̄ every sample is the same double Ā² + B̄², so the spread is
+        # exactly 0; with Ā = B̄ = fl(√½) that double is 1 + 2⁻⁵², one ulp above 1
+        sv = ghz(n)
+        for bob in range(n):
+            form = schmidt_form(sv, bob)
+            assert form.coeff0 == form.coeff1
+            for samples in (2, 1000, 10_007):
+                est = average_fidelity_mc(sv, bob, samples, bob)
+                assert est.stderr == 0.0
+                assert abs(est.mean - 1.0) <= np.spacing(1.0)
+
 
 def _no_draws(*args):
     raise AssertionError("drew samples")
 
 
-def _summed_fidelities(pairs, form):
-    return _summed_fidelities_of_weights(np.abs(pairs[:, 0]) ** 2, form)
-
-
-def _summed_fidelities_of_weights(pa, form):
+def _summed_fidelities(p, form):
     ca, cb = form.coeff0, form.coeff1
-    return (pa * ca + (1 - pa) * cb) ** 2 + ((1 - pa) * ca + pa * cb) ** 2
+    return (cb + p * (ca - cb)) ** 2 + (ca - p * (ca - cb)) ** 2
 
 
 class TestMonteCarloChunks:
     def test_single_chunk_is_the_plain_reduction(self, monkeypatch):
         sv = random_state(3, 11)
-        x = protocol._haar_normals(1000, np.random.default_rng(8)) ** 2
-        w = x[0] + x[1]
-        pa = w[:, 0] / (w[:, 0] + w[:, 1])
-        values = _summed_fidelities_of_weights(pa, schmidt_form(sv, 1))
+        values = _summed_fidelities(np.random.default_rng(8).random(1000), schmidt_form(sv, 1))
         for chunk in (protocol.MC_CHUNK, 1000):
             monkeypatch.setattr(protocol, "MC_CHUNK", chunk)
             est = average_fidelity_mc(sv, 1, 1000, 8)
@@ -487,8 +508,8 @@ class TestMonteCarloChunks:
         monkeypatch.setattr(protocol, "MC_CHUNK", 1000)
         sv = random_state(4, 12)
         gen = np.random.default_rng(5)
-        pairs = np.concatenate([haar_info_samples(size, gen) for size in (1000, 1000, 1000, 517)])
-        values = _summed_fidelities(pairs, schmidt_form(sv, 2))
+        p = np.concatenate([gen.random(size) for size in (1000, 1000, 1000, 517)])
+        values = _summed_fidelities(p, schmidt_form(sv, 2))
         est = average_fidelity_mc(sv, 2, 3517, 5)
         assert est.samples == 3517
         assert est.mean == pytest.approx(values.mean(), rel=1e-14)
