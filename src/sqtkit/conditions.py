@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ConstraintViolated, OutOfRange, WrongQubitCount
 from .families import SQRT_HALF, acin_alternative, check_coefficients, check_phase
 from .schmidt import split_by_receiver
-from .statevec import StateVector, _shown, check_unit_norm, is_real, move_to_last_perm, permute_qubits
+from .statevec import (StateVector, _shown, check_type, check_unit_norm, is_real, move_to_last_perm,
+                       permute_qubits)
 
 # Default tolerance of every verdict here and of `sqtkit check --tol`.
 VERDICT_TOL = 1e-9
@@ -65,6 +66,7 @@ def check_3qubit(resource: StateVector, bob: int, tol: float = VERDICT_TOL) -> P
     checker's, so the verdicts agree.
     """
     _check_tol(tol)
+    check_type("resource", resource, StateVector)
     if resource.n != 3:
         raise WrongQubitCount(f"need exactly 3 qubits, got {resource.n}")
     amps = permute_qubits(resource, move_to_last_perm(3, bob)).amps

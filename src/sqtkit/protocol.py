@@ -21,7 +21,7 @@ import numpy as np
 from .errors import OutOfRange
 from .families import SQRT_HALF, _generator
 from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
-from .statevec import PAULI_X, PAULI_Z, StateVector, _shown, is_int, new_state
+from .statevec import StateVector, _shown, check_type, is_int, new_state
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 # Outcome r's (branch paired with information |0⟩, branch paired with |1⟩, sign)
@@ -80,18 +80,27 @@ class McEstimate:
     samples: int
 
 
+def _correct(outcome: int, u: list, v0: complex, v1: complex) -> tuple[complex, complex]:
+    """The receiver correction of an outcome applied to the qubit (v0, v1): U†,
+    then σz if its sign is − (outcomes 1 and 3), then σx if it swaps the
+    branches (outcomes 2 and 3). u is receiver_basis.tolist()."""
+    (u00, u01), (u10, u11) = u
+    w0 = u00.conjugate() * v0 + u10.conjugate() * v1
+    w1 = u01.conjugate() * v0 + u11.conjugate() * v1
+    i, _, sign = _OUTCOMES[outcome]
+    if sign < 0:
+        w1 = -w1
+    return (w1, w0) if i else (w0, w1)
+
+
 def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
-    """Receiver correction for an outcome: U†, then σz if its sign is − (outcomes
-    1 and 3), then σx if it swaps the branches (outcomes 2 and 3)."""
+    """Receiver correction for an outcome (U†, then σz for outcomes 1 and 3, then
+    σx for outcomes 2 and 3) as a 2×2 matrix: the image of the scalar correction
+    that run_teleport applies, whose columns are |0⟩ and |1⟩ corrected."""
     if not (is_int(outcome) and 0 <= outcome <= 3):
         raise OutOfRange(f"outcome must be an integer in 0..3, got {_shown(outcome)}")
-    i, _, sign = _OUTCOMES[outcome]
-    m = receiver_basis.conj().T
-    if sign < 0:
-        m = PAULI_Z @ m
-    if i != 0:
-        m = PAULI_X @ m
-    return m
+    u = receiver_basis.tolist()
+    return np.array([_correct(outcome, u, 1.0, 0.0), _correct(outcome, u, 0.0, 1.0)], dtype=complex).T
 
 
 def _fidelity_from(numerator: float, prob: float) -> float:
@@ -108,8 +117,11 @@ def outcome_table(info: InfoQubit, form: SchmidtForm) -> list[OutcomeRecord]:
     the collapsed receiver states carry amplitudes (amp0·Ā, ±amp1·B̄) or
     (±amp1·Ā, amp0·B̄) in the rotated basis, and after correction the
     fidelity is (p·Ā + (1−p)·B̄)²/(2P(0)) for outcomes 0, 1 and its mirror
-    for 2, 3.
+    for 2, 3. The collapsed states are mapped back by receiver_basis in
+    complex scalars and handed out as rows of one read-only (4, 2) array.
     """
+    check_type("info", info, InfoQubit)
+    check_type("form", form, SchmidtForm)
     a, b = info.amp0, info.amp1
     pa, pb = abs(a) ** 2, abs(b) ** 2
     ca, cb = form.coeff0, form.coeff1
@@ -118,12 +130,14 @@ def outcome_table(info: InfoQubit, form: SchmidtForm) -> list[OutcomeRecord]:
     f01 = _fidelity_from(pa * ca + pb * cb, p01)
     f23 = _fidelity_from(pb * ca + pa * cb, p23)
     probs, fids = (p01, p01, p23, p23), (f01, f01, f23, f23)
-    pairs = []
+    (u00, u01), (u10, u11) = form.receiver_basis.tolist()
+    rows = []
     for prob, (top, bottom) in zip(probs, ((a * ca, b * cb), (a * ca, -b * cb), (b * ca, a * cb),
                                            (-b * ca, a * cb))):
         norm = math.hypot(abs(top), abs(bottom))  # √(2·prob)
-        pairs.append((top / norm, bottom / norm) if prob > ZERO_PROB else (1.0, 0.0))
-    bob_states = np.array(pairs) @ form.receiver_basis.T
+        top, bottom = (top / norm, bottom / norm) if prob > ZERO_PROB else (1.0, 0.0)
+        rows.append((u00 * top + u01 * bottom, u10 * top + u11 * bottom))
+    bob_states = np.array(rows, dtype=complex)
     bob_states.flags.writeable = False  # the rows handed out are read-only views of it
     return [
         OutcomeRecord(r, probs[r], bob_states[r], CORRECTION_LABELS[r], fids[r])
@@ -143,30 +157,36 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     """Simulate one run: project the joint state onto a sampled measurement
     outcome, collapse the receiver's qubit, and apply the labeled correction.
 
-    The joint state (info qubit first, receiver last) has the receiver blocks
-    [amp0·M; amp1·M], M being the resource's. The four sender basis states
+    The joint state (info qubit first, receiver last) has the receiver rows
+    amp0·(x, y) and amp1·(x, y), x and y being the resource's receiver-|0⟩
+    and receiver-|1⟩ rows. The four sender basis states
     (|0⟩|b_i⟩ ± |1⟩|b_j⟩)/√2, (i, j) = (0, 1) or (1, 0), pair branches b_i,
-    b_j with information |0⟩, |1⟩, so with the branch rows
-    p = (1/√2)·[b0; b1]^*·M outcome r projects the joint state to
+    b_j with information |0⟩, |1⟩, so with the four inner products
+    p_i = (1/√2)·(⟨b_i|x⟩, ⟨b_i|y⟩) outcome r projects the joint state to
     amp0·p_i ± amp1·p_j; neither the (n+1)-qubit joint vector nor the basis
-    states are built. The outcome is drawn from the exact Born
-    weights with a seeded generator, so identical arguments reproduce
-    identical runs. The correction matrix is unitary by construction and is
-    applied without re-checking it.
+    states are built. The outcome is drawn from the exact Born weights with a
+    seeded generator, so identical arguments reproduce identical runs. The
+    collapsed qubit and its correction are complex scalars until the result
+    is built; the correction is unitary by construction and is applied
+    without re-checking it.
     """
+    check_type("info", info, InfoQubit)
     form = schmidt_form(resource, bob)
-    rows = SQRT_HALF * np.array((form.branch0, form.branch1)).conj()
-    p = (rows @ _receiver_blocks(resource, bob).T).tolist()
+    rows = _receiver_blocks(resource, bob)
+    x, y = rows[0], rows[1]
+    p = [(SQRT_HALF * complex(np.vdot(b, x)), SQRT_HALF * complex(np.vdot(b, y)))
+         for b in (form.branch0, form.branch1)]
     a0, a1 = info.amp0, info.amp1
-    proj = [[a0 * x + a1 * y if sign > 0 else a0 * x - a1 * y for x, y in zip(p[i], p[j])]
+    proj = [[a0 * u + a1 * v if sign > 0 else a0 * u - a1 * v for u, v in zip(p[i], p[j])]
             for i, j, sign in _OUTCOMES]
     probs = [abs(u) ** 2 + abs(v) ** 2 for u, v in proj]
     rng = _generator(seed)
     r = _draw_outcome(probs, rng)
-    collapsed = np.array(proj[r]) / math.sqrt(probs[r])
-    final = correction_matrix(r, form.receiver_basis) @ collapsed
+    scale = math.sqrt(probs[r])
+    c0, c1 = proj[r][0] / scale, proj[r][1] / scale
+    f0, f1 = _correct(r, form.receiver_basis.tolist(), c0, c1)
+    collapsed, final = np.array((c0, c1)), np.array((f0, f1))
     collapsed.flags.writeable = final.flags.writeable = False
-    f0, f1 = final.tolist()
     fidelity = abs(a0.conjugate() * f0 + a1.conjugate() * f1) ** 2
     record = OutcomeRecord(r, probs[r], collapsed, CORRECTION_LABELS[r], fidelity)
     return TeleportResult(record, final)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, WrongQubitCount
-from .statevec import PAULI_X, StateVector, _norm, _shown, check_qubit_index
+from .statevec import PAULI_X, StateVector, _norm, _shown, check_qubit_index, check_type
 
 # Branch weight below this counts as an absent branch; block overlap below it
 # counts as already orthogonal (z = 0 then leaves a residual ≪ 1e-10).
@@ -102,6 +102,7 @@ class SchmidtForm:
 
 
 def _check_receiver(sv: StateVector, bob: int) -> None:
+    check_type("resource", sv, StateVector)
     if sv.n < 2:
         raise WrongQubitCount(f"resource must have at least 2 qubits, got {sv.n}")
     check_qubit_index(sv.n, bob)
@@ -216,6 +217,7 @@ def concurrence_via_density(sv: StateVector, bob: int) -> float:
     the norm of y after two Gram–Schmidt passes y ← y − (q†y)·q; the second
     pass keeps R₁₁ accurate to ~1e-16 absolute as C → 0.
     """
+    check_type("resource", sv, StateVector)
     check_qubit_index(sv.n, bob)
     if sv.n == 1:
         return 0.0

@@ -130,6 +130,12 @@ def _shown(x) -> str:
         return "<a value too long to print>"
 
 
+def check_type(name: str, value, kind: type) -> None:
+    """Refuse, with OutOfRange, an argument that is not an instance of `kind`."""
+    if not isinstance(value, kind):
+        raise OutOfRange(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
 def is_int(x) -> bool:
     """True for Python and numpy integers; False for bool and anything else."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -166,6 +172,7 @@ def permute_qubits(sv: StateVector, perm) -> StateVector:
     Pure amplitude shuffling: composing with the inverse permutation restores
     the original array bit for bit.
     """
+    check_type("sv", sv, StateVector)
     perm = list(perm)
     if not all(map(is_int, perm)) or sorted(perm) != list(range(sv.n)):
         raise InvalidPermutation(f"{_shown(perm)} is not a permutation of 0..{sv.n - 1}")

@@ -6,7 +6,7 @@ Schmidt form from scratch, and a one-qubit gate is applied to the full
 amplitude tensor, so each acts as an independent referee. The rotation
 quadratic with both roots and the four explicit sender basis states are the
 paper's own constructions, which the engine replaces by the closed-form top
-root and a projection onto two branch rows; they are kept here as referees.
+root and four inner products with the branches; they are kept here as referees.
 """
 
 import math

@@ -17,19 +17,24 @@ from sqtkit import (
     acin_alternative,
     acin_canonical,
     average_fidelity_mc,
+    check_3qubit,
     check_general,
     classify_acin_alt,
     classify_zha,
+    concurrence_via_density,
     correction_matrix,
     ghz,
     haar_info_samples,
     maf,
     new_state,
+    outcome_table,
     permute_qubits,
     random_state,
     run_teleport,
     schmidt_branch_family,
+    schmidt_form,
     separable_branch_family,
+    split_by_receiver,
     w_general,
     zha_counterexample,
 )
@@ -228,3 +233,26 @@ def test_admitted_number_types_build_the_float_result(name, index, kind):
 @pytest.mark.parametrize("build", [ghz, lambda n: random_state(n, 7)], ids=["ghz", "random_state"])
 def test_numpy_qubit_count_builds_the_int_result(build):
     assert build(np.int64(3)).amps.tobytes() == build(3).amps.tobytes()
+
+
+# an argument of the wrong type ended in a bare AttributeError ('tuple' object
+# has no attribute 'amp0', 'StateVector' object has no attribute 'coeff0', ...)
+WRONG_TYPE_CALLS = {
+    "run_teleport-info": lambda: run_teleport((0.6, 0.8), ghz(3), 2),
+    "run_teleport-resource": lambda: run_teleport(InfoQubit(1, 0), ghz(3).amps, 2),
+    "outcome_table-info": lambda: outcome_table((0.6, 0.8), schmidt_form(ghz(3), 2)),
+    "outcome_table-form": lambda: outcome_table(InfoQubit(1, 0), ghz(3)),
+    "average_fidelity_mc-resource": lambda: average_fidelity_mc(ghz(3).amps, 2, 10),
+    "schmidt_form-resource": lambda: schmidt_form(ghz(3).amps, 2),
+    "split_by_receiver-resource": lambda: split_by_receiver(ghz(3).amps, 2),
+    "check_general-resource": lambda: check_general(ghz(3).amps, 2),
+    "check_3qubit-resource": lambda: check_3qubit(ghz(3).amps, 2),
+    "concurrence_via_density-resource": lambda: concurrence_via_density(ghz(3).amps, 2),
+    "permute_qubits-sv": lambda: permute_qubits(ghz(3).amps, [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPE_CALLS)
+def test_argument_of_the_wrong_type_is_refused(name):
+    with pytest.raises(OutOfRange, match="must be of type"):
+        WRONG_TYPE_CALLS[name]()

@@ -86,31 +86,49 @@ class TestMeasurementBasis:
             np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
 
+def _check_drawn_outcomes(sv, bob, info):
+    """Each outcome a seed draws has the weight, collapsed qubit and corrected
+    qubit read off the explicit info ⊗ resource joint state projected onto
+    measurement_basis(form)[r], to 1e-12; seeds run until every outcome of
+    weight above 1e-2 has been drawn."""
+    form = schmidt_form(sv, bob)
+    rest_then_bob = permute_qubits(sv, move_to_last_perm(sv.n, bob))
+    joint = np.kron([info.amp0, info.amp1], rest_then_bob.amps).reshape(-1, 2)
+    collapsed = [state.conj() @ joint for state in measurement_basis(form)]
+    weights = [float(np.vdot(v, v).real) for v in collapsed]
+    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+    unseen = {r for r, w in enumerate(weights) if w > 1e-2}
+    for seed in range(500):
+        result = run_teleport(info, sv, bob, seed=seed)
+        r = result.record.outcome
+        assert result.record.prob == pytest.approx(weights[r], abs=1e-12)
+        np.testing.assert_allclose(result.record.bob_state, collapsed[r] / math.sqrt(weights[r]),
+                                   rtol=0, atol=1e-12)
+        corrected = correction_matrix(r, form.receiver_basis) @ result.record.bob_state
+        np.testing.assert_allclose(result.final_state, corrected, rtol=0, atol=1e-12)
+        unseen.discard(r)
+        if not unseen:
+            break
+    assert not unseen, (sv.n, bob, weights)
+
+
 class TestMeasurementBasisDrivesTheRun:
+    # run_teleport projects with four branch inner products only; the explicit
+    # (n+1)-qubit joint state projected onto measurement_basis is its referee
     def test_joint_state_overlaps_are_the_born_weights(self):
-        # run_teleport projects with the branch rows only; the explicit
-        # (n+1)-qubit joint state projected onto measurement_basis must give
-        # the same four weights, read off the drawn outcome across seeds
         rng = np.random.default_rng(41)
         cases = [(ghz(3), 2), (standard_w(), 0), (basis_state(4, 0b0110), 1)]
         cases += [(random_state(n, rng), int(rng.integers(n))) for n in range(2, 7) for _ in range(3)]
         for sv, bob in cases:
-            info = haar_random_info(rng)
-            rest_then_bob = permute_qubits(sv, move_to_last_perm(sv.n, bob))
-            joint = np.kron([info.amp0, info.amp1], rest_then_bob.amps).reshape(-1, 2)
-            weights = [
-                float(np.linalg.norm(state.conj() @ joint) ** 2)
-                for state in measurement_basis(schmidt_form(sv, bob))
-            ]
-            assert sum(weights) == pytest.approx(1.0, abs=1e-12)
-            unseen = {r for r, w in enumerate(weights) if w > 1e-2}
-            for seed in range(500):
-                record = run_teleport(info, sv, bob, seed=seed).record
-                assert record.prob == pytest.approx(weights[record.outcome], abs=1e-12)
-                unseen.discard(record.outcome)
-                if not unseen:
-                    break
-            assert not unseen, (sv.n, bob, weights)
+            _check_drawn_outcomes(sv, bob, haar_random_info(rng))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_drawn_outcome_is_the_joint_projection(self, n):
+        # every size, at receivers 0, n//2 and n−1
+        rng = np.random.default_rng([43, n])
+        sv = random_state(n, rng)
+        for bob in sorted({0, n // 2, n - 1}):
+            _check_drawn_outcomes(sv, bob, haar_random_info(rng))
 
 
 def test_derived_vectors_are_read_only():
@@ -205,6 +223,24 @@ class TestOutcomeTable:
 def test_correction_matrix_refuses_non_outcomes(outcome):
     with pytest.raises(OutOfRange):
         correction_matrix(outcome, np.eye(2))
+
+
+def test_correction_matrix_is_the_written_out_product():
+    # (σx)^[r ≥ 2]·(σz)^[r odd]·U† for Haar-random unitaries U
+    rng = np.random.default_rng(17)
+    pauli_x, pauli_z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    for _ in range(20):
+        q, tri = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        u = q * (np.diag(tri) / abs(np.diag(tri)))  # the phase fix that makes q Haar
+        for r in range(4):
+            want = u.conj().T
+            if r % 2:
+                want = pauli_z @ want
+            if r >= 2:
+                want = pauli_x @ want
+            got = correction_matrix(r, u)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got @ got.conj().T, np.eye(2), rtol=0, atol=1e-15)
 
 
 def test_correction_matrix_takes_numpy_outcomes():
