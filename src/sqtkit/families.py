@@ -163,4 +163,4 @@ def random_state(n: int, rng=None) -> StateVector:
     check_qubit_count(n)
     gen = _generator(rng)
     raw = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
-    return StateVector(n, raw / np.linalg.norm(raw))
+    return StateVector(n, raw * (1.0 / np.linalg.norm(raw)))

@@ -203,7 +203,7 @@ def haar_info_samples(count: int, rng=None) -> np.ndarray:
         raise OutOfRange(f"count must be an integer ≥ 1, got {_shown(count)}")
     gen = _generator(rng)
     raw = gen.standard_normal((count, 2)) + 1j * gen.standard_normal((count, 2))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw * (1.0 / np.linalg.norm(raw, axis=1, keepdims=True))
 
 
 def haar_random_info(rng=None) -> InfoQubit:

@@ -29,7 +29,8 @@ The engine takes the root whose |0̄⟩ ∝ (1, z) is the top eigenvector of the
 receiver's reduced density ρ = [[A², g], [g*, B²]], g = A·B·K; that is the
 root with Ā ≥ B̄, the two roots' Ā² differing by the discriminant's square
 root. It reads the receiver rows x = A·ψ0 and y = B·ψ1 once, as one
-contiguous array, and takes the Gram triple A = ‖x‖, B = ‖y‖, g = ⟨y|x⟩ with
+(2, 2^(n−1)) array (a view of the amplitudes at receivers 0 and n − 1, a
+copy in between), and takes the Gram triple A = ‖x‖, B = ‖y‖, g = ⟨y|x⟩ with
 vdot, the norm that gates every state (split_by_receiver reads its weights
 and K = g/(A·B) from the same triple). It forms the rotated branches
 x + z*·y and y − z·x; for z = 0 the branches are the rows and the
@@ -110,8 +111,10 @@ def _check_receiver(sv: StateVector, bob: int) -> None:
 
 def _receiver_blocks(sv: StateVector, bob: int) -> np.ndarray:
     """Mᵀ: the receiver-|0⟩ and receiver-|1⟩ rows A·ψ0 and B·ψ1 as one
-    C-contiguous (2, 2^(n−1)) array, the other qubits kept in their original
-    relative order. Callers check bob with _check_receiver first."""
+    (2, 2^(n−1)) array, the other qubits kept in their original relative
+    order. At receiver 0 it is a C-contiguous view of the amplitudes, at
+    receiver n − 1 a view whose rows step by 2 elements, and at the receivers
+    in between a C-contiguous copy. Callers check bob with _check_receiver first."""
     # index = (qubits before bob, bob, qubits after bob); bob's axis goes first
     return sv.amps.reshape(1 << bob, 2, -1).swapaxes(0, 1).reshape(2, -1)
 
@@ -156,7 +159,7 @@ def _orthogonal_filler(present: np.ndarray) -> np.ndarray:
     j = int(np.argmin(np.abs(present)))
     v = -present * np.conj(present[j])
     v[j] += 1.0
-    return v / np.linalg.norm(v)
+    return v * (1.0 / np.linalg.norm(v))
 
 
 def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
@@ -185,13 +188,13 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     if c1 > c0:
         c0, c1, raw0, raw1 = c1, c0, raw1, raw0
         u = u @ PAULI_X
-    b0 = raw0 / (c0 * scale)
+    b0 = raw0 * (1.0 / (c0 * scale))
     # raw1 carries rounding of order 1e-16 absolute, i.e. 1e-16/coeff1 in
     # direction: project out its b0 component, and where the branch is
     # numerically absent use an exact direction orthogonal to b0 instead.
     if c1 > DEGENERATE_TOL:
         raw1 = raw1 - np.vdot(b0, raw1) * b0
-        b1 = raw1 / _norm(raw1)
+        b1 = raw1 * (1.0 / _norm(raw1))
     else:
         b1 = _orthogonal_filler(b0)
     b0.flags.writeable = b1.flags.writeable = u.flags.writeable = False
@@ -227,7 +230,7 @@ def concurrence_via_density(sv: StateVector, bob: int) -> float:
     r00 = _norm(x)
     if r00 == 0.0:
         return 0.0
-    q = x / r00
+    q = x * (1.0 / r00)
     for _ in range(2):
         y = y - np.vdot(q, y) * q
     return 2.0 * r00 * _norm(y)
