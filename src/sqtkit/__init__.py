@@ -42,7 +42,6 @@ from .protocol import (
     OutcomeRecord,
     TeleportResult,
     average_fidelity_mc,
-    correction_matrix,
     haar_info_samples,
     haar_random_info,
     outcome_table,
@@ -61,7 +60,6 @@ from .schmidt import (
 from .statevec import (
     MAX_QUBITS,
     PAULI_X,
-    PAULI_Z,
     StateVector,
     move_to_last_perm,
     new_state,

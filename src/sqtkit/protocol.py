@@ -93,16 +93,6 @@ def _correct(outcome: int, u: list, v0: complex, v1: complex) -> tuple[complex, 
     return (w1, w0) if i else (w0, w1)
 
 
-def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
-    """Receiver correction for an outcome (U†, then σz for outcomes 1 and 3, then
-    σx for outcomes 2 and 3) as a 2×2 matrix: the image of the scalar correction
-    that run_teleport applies, whose columns are |0⟩ and |1⟩ corrected."""
-    if not (is_int(outcome) and 0 <= outcome <= 3):
-        raise OutOfRange(f"outcome must be an integer in 0..3, got {_shown(outcome)}")
-    u = receiver_basis.tolist()
-    return np.array([_correct(outcome, u, 1.0, 0.0), _correct(outcome, u, 0.0, 1.0)], dtype=complex).T
-
-
 def _fidelity_from(numerator: float, prob: float) -> float:
     if prob <= ZERO_PROB:
         return 0.0
@@ -164,18 +154,24 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     b_j with information |0⟩, |1⟩, so with the four inner products
     p_i = (1/√2)·(⟨b_i|x⟩, ⟨b_i|y⟩) outcome r projects the joint state to
     amp0·p_i ± amp1·p_j; neither the (n+1)-qubit joint vector nor the basis
-    states are built. The outcome is drawn from the exact Born weights with a
-    seeded generator, so identical arguments reproduce identical runs. The
-    collapsed qubit and its correction are complex scalars until the result
-    is built; the correction is unitary by construction and is applied
-    without re-checking it.
+    states are built. The p_i depend on the resource and the receiver alone:
+    the first call on a (state, receiver) takes them and keeps them in the
+    third slot of that state's memo record, after its Gram triple and form,
+    and later calls read them from there. The outcome is drawn from the
+    exact Born weights with a seeded generator, so identical arguments
+    reproduce identical runs. The collapsed qubit and its correction are
+    complex scalars until the result is built; the correction is unitary by
+    construction and is applied without re-checking it.
     """
     check_type("info", info, InfoQubit)
     form = schmidt_form(resource, bob)
-    rows = _receiver_blocks(resource, bob)
-    x, y = rows[0], rows[1]
-    p = [(SQRT_HALF * complex(np.vdot(b, x)), SQRT_HALF * complex(np.vdot(b, y)))
-         for b in (form.branch0, form.branch1)]
+    gram, _, p = resource._memo[bob]
+    if p is None:
+        rows = _receiver_blocks(resource, bob)
+        x, y = rows[0], rows[1]
+        p = tuple((SQRT_HALF * complex(np.vdot(b, x)), SQRT_HALF * complex(np.vdot(b, y)))
+                  for b in (form.branch0, form.branch1))
+        resource._memo[bob] = (gram, form, p)
     a0, a1 = info.amp0, info.amp1
     proj = [[a0 * u + a1 * v if sign > 0 else a0 * u - a1 * v for u, v in zip(p[i], p[j])]
             for i, j, sign in _OUTCOMES]

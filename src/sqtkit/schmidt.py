@@ -42,7 +42,8 @@ to the major one. Its branches are read-only arrays, not StateVectors, and
 the split keeps no branches. The form and its Gram triple are kept as one
 record per receiver in the state's memo, so repeated calls on one state
 return the same objects; a split read before any form recomputes its Gram
-step and stores nothing.
+step and stores nothing. The record's third slot is left empty here and
+filled only by `sqtkit.protocol.run_teleport`.
 `concurrence_via_density` is an independent route to C through a QR
 factorization of the two-column amplitude matrix, done in closed form with
 two Gram–Schmidt passes; it reads no memo.
@@ -199,7 +200,7 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
         b1 = _orthogonal_filler(b0)
     b0.flags.writeable = b1.flags.writeable = u.flags.writeable = False
     form = SchmidtForm(c0, c1, z, b0, b1, 2.0 * c0 * c1, u)
-    sv._memo[bob] = (gram, form)
+    sv._memo[bob] = (gram, form, None)  # the slot run_teleport fills with its projection
     return form
 
 

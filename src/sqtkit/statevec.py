@@ -14,9 +14,10 @@ and the protocol derive are plain read-only complex arrays. All functions here
 are pure, and every stored amplitude array is read-only.
 
 Because the amplitudes never change, a `StateVector` also carries a private
-memo in which `sqtkit.schmidt.schmidt_form` keeps one record per analysed
-receiver qubit, its Gram triple and Schmidt form, so each is computed once
-per object.
+memo with one record per analysed receiver qubit, so each entry is computed
+once per object: `sqtkit.schmidt.schmidt_form` stores the Gram triple and
+the Schmidt form with an empty third slot, and `sqtkit.protocol.run_teleport`
+fills that slot with its four projection inner products on its first call.
 Every function here that returns a `StateVector` returns a new object, whose
 memo starts empty.
 """
@@ -42,9 +43,7 @@ MAX_QUBITS = 12
 NORM_TOL = 1e-9
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-for _m in (PAULI_X, PAULI_Z):
-    _m.flags.writeable = False
+PAULI_X.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +60,7 @@ class StateVector:
 
     n: int
     amps: np.ndarray
-    # receiver qubit -> (Gram triple, SchmidtForm) of amps, filled by sqtkit.schmidt
+    # receiver qubit -> (Gram triple, SchmidtForm, run_teleport's projection or None) of amps
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     # the norm the constructor's gate judged, which new_state renormalizes by
     _checked_norm: float = field(init=False, repr=False)

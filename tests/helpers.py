@@ -7,6 +7,9 @@ amplitude tensor, so each acts as an independent referee. The rotation
 quadratic with both roots and the four explicit sender basis states are the
 paper's own constructions, which the engine replaces by the closed-form top
 root and four inner products with the branches; they are kept here as referees.
+`correction_matrix` is the matrix image of the package's scalar correction,
+and `PAULI_Z` the gate the statevec tests apply; nothing in the package reads
+either.
 """
 
 import math
@@ -30,11 +33,15 @@ from sqtkit import (
     w_general,
     zha_counterexample,
 )
-from sqtkit.protocol import _OUTCOMES
+from sqtkit.errors import OutOfRange
+from sqtkit.protocol import _OUTCOMES, _correct
 from sqtkit.schmidt import DEGENERATE_TOL, OVERLAP_TOL
-from sqtkit.statevec import check_qubit_count, check_qubit_index, is_int
+from sqtkit.statevec import _shown, check_qubit_count, check_qubit_index, is_int
 
 SQRT_HALF = math.sqrt(0.5)
+
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_Z.flags.writeable = False
 
 
 def basis_state(n: int, index: int) -> StateVector:
@@ -79,6 +86,16 @@ def measurement_basis(form: SchmidtForm) -> tuple[np.ndarray, ...]:
     states = SQRT_HALF * np.array([np.concatenate(pair) for pair in pairs])
     states.flags.writeable = False  # the rows handed out are read-only views of it
     return tuple(states)
+
+
+def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
+    """Receiver correction for an outcome (U†, then σz for outcomes 1 and 3, then
+    σx for outcomes 2 and 3) as a 2×2 matrix: the image of the scalar correction
+    that run_teleport applies, whose columns are |0⟩ and |1⟩ corrected."""
+    if not (is_int(outcome) and 0 <= outcome <= 3):
+        raise OutOfRange(f"outcome must be an integer in 0..3, got {_shown(outcome)}")
+    u = receiver_basis.tolist()
+    return np.array([_correct(outcome, u, 1.0, 0.0), _correct(outcome, u, 0.0, 1.0)], dtype=complex).T
 
 
 def apply_one_qubit(sv: StateVector, q: int, op) -> StateVector:

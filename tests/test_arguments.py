@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import correction_matrix
 from sqtkit import (
     DimensionMismatch,
     InfoQubit,
@@ -22,7 +23,6 @@ from sqtkit import (
     classify_acin_alt,
     classify_zha,
     concurrence_via_density,
-    correction_matrix,
     ghz,
     haar_info_samples,
     maf,

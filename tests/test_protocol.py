@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import basis_state, measurement_basis
+from helpers import basis_state, correction_matrix, measurement_basis
 from sqtkit import protocol
 from sqtkit import (
     CORRECTION_LABELS,
@@ -14,7 +14,6 @@ from sqtkit import (
     OutOfRange,
     average_fidelity_mc,
     concurrence_via_density,
-    correction_matrix,
     ghz,
     haar_info_samples,
     haar_random_info,
@@ -519,6 +518,27 @@ class TestAverageFidelityMc:
                 est = average_fidelity_mc(sv, bob, samples, bob)
                 assert est.stderr == 0.0
                 assert abs(est.mean - 1.0) <= np.spacing(1.0)
+
+    @pytest.mark.parametrize("sv, bob", [
+        *(pytest.param(random_state(n, 400 + n), bob, id=f"haar{n}-{bob}")
+          for n in (3, 8, 12) for bob in (0, n // 2, n - 1)),
+        *(pytest.param(w_general(0.5, 0.5, SQRT_HALF), bob, id=f"w-{bob}") for bob in (0, 1)),
+    ])
+    def test_spread_is_the_dephasing_channels(self, sv, bob):
+        # each sample is F(p) = 1 − 2(1 − C)·p(1 − p) with p uniform on [0, 1],
+        # whose standard deviation is 2(1 − C)·√(1/30 − 1/36) = (1 − C)/√45
+        samples = 200_000
+        want = (1.0 - schmidt_form(sv, bob).concurrence) / math.sqrt(45.0)
+        for seed in range(5):
+            est = average_fidelity_mc(sv, bob, samples, seed)
+            assert est.stderr * math.sqrt(samples) == pytest.approx(want, rel=0.01)
+
+    def test_perfect_w_state_has_no_spread(self):
+        # the W-class resource that is perfect toward qubit 2 has Ā = B̄, as GHZ has
+        sv = w_general(0.5, 0.5, SQRT_HALF)
+        form = schmidt_form(sv, 2)
+        assert form.coeff0 == form.coeff1
+        assert average_fidelity_mc(sv, 2, 200_000, 0).stderr == 0.0
 
 
 def _no_draws(*args):

@@ -25,6 +25,7 @@ from sqtkit import (
     maf,
     move_to_last_perm,
     new_state,
+    outcome_table,
     permute_qubits,
     random_state,
     rotation_matrix,
@@ -422,9 +423,17 @@ def assert_forms_identical(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+def run_bits(result):
+    """A run_teleport result as plain values, its floats as their bit patterns."""
+    rec = result.record
+    return (rec.outcome, rec.correction, np.array([rec.prob, rec.fidelity]).view(np.uint64).tolist(),
+            rec.bob_state.view(np.uint64).tolist(), result.final_state.view(np.uint64).tolist())
+
+
 class TestMemo:
-    """Each StateVector keeps one record, its Gram triple and Schmidt form,
-    per analysed receiver; the memo changes no result and no refusal."""
+    """Each StateVector keeps one record per analysed receiver: its Gram
+    triple, its Schmidt form and, once run_teleport has run there, the four
+    projection inner products; the memo changes no result and no refusal."""
 
     def test_repeated_form_is_the_same_object(self):
         sv = random_state(5, 1)
@@ -470,10 +479,67 @@ class TestMemo:
             average_fidelity_mc(sv, bob, 100, 5)
         assert sorted(sv._memo) == [0, 2]
         for bob in (0, 2):
-            gram, form = sv._memo[bob]
+            gram, form, proj = sv._memo[bob]
             assert form is schmidt_form(sv, bob)
             split = split_by_receiver(sv, bob)
             assert gram[:2] == (split.weight0, split.weight1)
+            assert len(proj) == 2 and all(len(pair) == 2 for pair in proj)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_kept_projection_gives_the_fresh_state_bits(self, n):
+        sv = random_state(n, 300 + n)
+        infos = [InfoQubit(1, 0), InfoQubit(0.6, 0.8j), InfoQubit(SQRT_HALF, -SQRT_HALF * 1j)]
+        for k, bob in enumerate(sorted({0, n // 2, n - 1})):
+            if k % 2:  # analysis before the first run on this receiver
+                split_by_receiver(sv, bob)
+                check_general(sv, bob)
+                average_fidelity_mc(sv, bob, 100, k)
+            for seed in range(3):
+                for info in infos:
+                    got = run_teleport(info, sv, bob, seed=seed)
+                    want = run_teleport(info, StateVector(n, sv.amps), bob, seed=seed)
+                    assert run_bits(got) == run_bits(want)
+                    table = outcome_table(info, schmidt_form(sv, bob))
+                    fresh = outcome_table(info, schmidt_form(StateVector(n, sv.amps), bob))
+                    assert [(r.prob, r.fidelity) for r in table] == [(r.prob, r.fidelity) for r in fresh]
+                    split_by_receiver(sv, bob)
+                    check_general(sv, bob)
+                average_fidelity_mc(sv, bob, 100, seed)
+        assert sorted(sv._memo) == sorted({0, n // 2, n - 1})
+
+    def test_analysis_and_monte_carlo_leave_no_projection(self):
+        sv = random_state(5, 13)
+        for bob in range(5):
+            schmidt_form(sv, bob)
+            split_by_receiver(sv, bob)
+            check_general(sv, bob)
+            concurrence(sv, bob)
+            average_fidelity_mc(sv, bob, 100, 1)
+            outcome_table(InfoQubit(0.6, 0.8j), schmidt_form(sv, bob))
+        assert [record[2] for record in sv._memo.values()] == [None] * 5
+        run_teleport(InfoQubit(0.6, 0.8j), sv, 3, seed=0)
+        assert [bob for bob, record in sv._memo.items() if record[2] is not None] == [3]
+
+    def test_only_run_teleport_reads_the_projection(self):
+        sv = random_state(3, 17)
+        info = InfoQubit(0.6, 0.8j)
+        analyses = [
+            lambda bob: schmidt_form(sv, bob),
+            lambda bob: split_by_receiver(sv, bob).overlap,
+            lambda bob: check_general(sv, bob),
+            lambda bob: average_fidelity_mc(sv, bob, 100, 2),
+            lambda bob: [r.fidelity for r in outcome_table(info, schmidt_form(sv, bob))],
+            lambda bob: concurrence_via_density(sv, bob),
+            lambda bob: check_3qubit(sv, bob),
+        ]
+        want = [[analysis(bob) for analysis in analyses] for bob in range(3)]
+        poison = object()
+        for bob in range(3):
+            gram, form, _ = sv._memo[bob]
+            sv._memo[bob] = (gram, form, poison)
+        assert [[analysis(bob) for analysis in analyses] for bob in range(3)] == want
+        with pytest.raises(TypeError):  # the slot is read where it should be
+            run_teleport(info, sv, 0)
 
     def test_derived_states_start_with_empty_memos(self):
         sv = random_state(4, 5)

@@ -5,10 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import apply_one_qubit, basis_state, brute_force_density
+from helpers import PAULI_Z, apply_one_qubit, basis_state, brute_force_density
 from sqtkit import (
     PAULI_X,
-    PAULI_Z,
     DimensionMismatch,
     IndexOutOfRange,
     InfoQubit,

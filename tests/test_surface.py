@@ -8,11 +8,11 @@ PUBLIC = [
     "AcinAltReport", "BipartiteSplit", "CORRECTION_LABELS", "ConstraintViolated",
     "DimensionMismatch", "IndexOutOfRange", "InfoQubit", "InvalidDocument",
     "InvalidPermutation", "MAX_QUBITS", "McEstimate", "NotNormalized", "OutOfRange",
-    "OutcomeRecord", "PAULI_X", "PAULI_Z", "PerfectVerdict", "SchmidtForm", "SqtError",
+    "OutcomeRecord", "PAULI_X", "PerfectVerdict", "SchmidtForm", "SqtError",
     "StateVector", "TeleportResult", "TooManyQubits", "WrongQubitCount", "ZhaReport",
     "acin_alternative", "acin_canonical", "average_fidelity_mc", "check_3qubit",
     "check_general", "classify_acin_alt", "classify_zha", "cli", "concurrence",
-    "concurrence_via_density", "conditions", "correction_matrix", "errors", "families",
+    "concurrence_via_density", "conditions", "errors", "families",
     "ghz", "haar_info_samples", "haar_random_info", "maf", "move_to_last_perm",
     "new_state", "outcome_table", "permute_qubits", "protocol", "random_state",
     "rotation_matrix", "run_teleport", "schmidt", "schmidt_branch_family",
