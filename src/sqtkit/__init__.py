@@ -42,7 +42,6 @@ from .protocol import (
     OutcomeRecord,
     TeleportResult,
     average_fidelity_mc,
-    haar_info_samples,
     haar_random_info,
     outcome_table,
     run_teleport,
@@ -50,7 +49,6 @@ from .protocol import (
 from .schmidt import (
     BipartiteSplit,
     SchmidtForm,
-    concurrence,
     concurrence_via_density,
     maf,
     rotation_matrix,

@@ -6,7 +6,8 @@ branches, sends the 2-bit outcome, and the receiver applies the matching
 correction (U† first, then σz and/or σx). The closed-form outcome table and
 the explicit projection simulation are implemented separately so each can be
 checked against the other, and a seeded Monte Carlo estimator averages the
-fidelity over Haar-random information qubits.
+fidelity over Haar-random information qubits. The resource's form and
+projection come from `sqtkit.schmidt`, which alone keeps the state's memo.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .families import SQRT_HALF, _generator
-from .schmidt import SchmidtForm, _receiver_blocks, schmidt_form
+from .families import _generator
+from .schmidt import SchmidtForm, _projection, schmidt_form
 from .statevec import StateVector, _shown, check_type, is_int, new_state
 
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
@@ -154,24 +155,17 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     b_j with information |0⟩, |1⟩, so with the four inner products
     p_i = (1/√2)·(⟨b_i|x⟩, ⟨b_i|y⟩) outcome r projects the joint state to
     amp0·p_i ± amp1·p_j; neither the (n+1)-qubit joint vector nor the basis
-    states are built. The p_i depend on the resource and the receiver alone:
-    the first call on a (state, receiver) takes them and keeps them in the
-    third slot of that state's memo record, after its Gram triple and form,
-    and later calls read them from there. The outcome is drawn from the
-    exact Born weights with a seeded generator, so identical arguments
-    reproduce identical runs. The collapsed qubit and its correction are
+    states are built. The p_i depend on the resource and the receiver alone,
+    so `sqtkit.schmidt` keeps them with the form in the state's memo: the
+    first call on a (state, receiver) takes them and later calls read them.
+    The outcome is drawn from the exact Born weights with a seeded
+    generator, so identical arguments reproduce identical runs. The collapsed qubit and its correction are
     complex scalars until the result is built; the correction is unitary by
     construction and is applied without re-checking it.
     """
     check_type("info", info, InfoQubit)
     form = schmidt_form(resource, bob)
-    gram, _, p = resource._memo[bob]
-    if p is None:
-        rows = _receiver_blocks(resource, bob)
-        x, y = rows[0], rows[1]
-        p = tuple((SQRT_HALF * complex(np.vdot(b, x)), SQRT_HALF * complex(np.vdot(b, y)))
-                  for b in (form.branch0, form.branch1))
-        resource._memo[bob] = (gram, form, p)
+    p = _projection(resource, bob)
     a0, a1 = info.amp0, info.amp1
     proj = [[a0 * u + a1 * v if sign > 0 else a0 * u - a1 * v for u, v in zip(p[i], p[j])]
             for i, j, sign in _OUTCOMES]
@@ -188,23 +182,12 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     return TeleportResult(record, final)
 
 
-def haar_info_samples(count: int, rng=None) -> np.ndarray:
-    """(count, 2) array of Haar-random qubit amplitude pairs.
-
-    Two independent complex Gaussians per row, normalized; this is the same
-    draw :func:`haar_random_info` uses, and its |amp0|² is the uniform weight
-    that :func:`average_fidelity_mc` draws directly.
-    """
-    if not (is_int(count) and count >= 1):
-        raise OutOfRange(f"count must be an integer ≥ 1, got {_shown(count)}")
-    gen = _generator(rng)
-    raw = gen.standard_normal((count, 2)) + 1j * gen.standard_normal((count, 2))
-    return raw * (1.0 / np.linalg.norm(raw, axis=1, keepdims=True))
-
-
 def haar_random_info(rng=None) -> InfoQubit:
-    """One Haar-random information qubit."""
-    pair = haar_info_samples(1, rng)[0]
+    """One Haar-random information qubit: two independent complex Gaussians, normalized."""
+    gen = _generator(rng)
+    # drawn as a (1, 2) row: the norm of a 1-D pair sums in another order and moves last bits
+    raw = gen.standard_normal((1, 2)) + 1j * gen.standard_normal((1, 2))
+    pair = (raw * (1.0 / np.linalg.norm(raw, axis=1, keepdims=True)))[0]
     return InfoQubit(complex(pair[0]), complex(pair[1]))
 
 

@@ -42,8 +42,9 @@ to the major one. Its branches are read-only arrays, not StateVectors, and
 the split keeps no branches. The form and its Gram triple are kept as one
 record per receiver in the state's memo, so repeated calls on one state
 return the same objects; a split read before any form recomputes its Gram
-step and stores nothing. The record's third slot is left empty here and
-filled only by `sqtkit.protocol.run_teleport`.
+step and stores nothing. The record's third slot is left empty by
+schmidt_form and filled by _projection, which `sqtkit.protocol.run_teleport`
+calls; this module is the only one that reads or writes the record.
 `concurrence_via_density` is an independent route to C through a QR
 factorization of the two-column amplitude matrix, done in closed form with
 two Gram–Schmidt passes; it reads no memo.
@@ -57,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, WrongQubitCount
+from .families import SQRT_HALF
 from .statevec import PAULI_X, StateVector, _norm, _shown, check_qubit_index, check_type
 
 # Branch weight below this counts as an absent branch; block overlap below it
@@ -200,13 +202,22 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
         b1 = _orthogonal_filler(b0)
     b0.flags.writeable = b1.flags.writeable = u.flags.writeable = False
     form = SchmidtForm(c0, c1, z, b0, b1, 2.0 * c0 * c1, u)
-    sv._memo[bob] = (gram, form, None)  # the slot run_teleport fills with its projection
+    sv._memo[bob] = (gram, form, None)  # the slot _projection fills
     return form
 
 
-def concurrence(sv: StateVector, bob: int) -> float:
-    """Bipartite concurrence 2·Ā·B̄ between qubit `bob` and the rest."""
-    return schmidt_form(sv, bob).concurrence
+def _projection(sv: StateVector, bob: int) -> tuple:
+    """run_teleport's inner products p_i = √½·(⟨b_i|x⟩, ⟨b_i|y⟩) of the branches
+    b_i with the receiver rows x, y, taken once and kept in the memo record's
+    third slot. Precondition: schmidt_form(sv, bob) has already run."""
+    gram, form, p = sv._memo[bob]
+    if p is None:
+        rows = _receiver_blocks(sv, bob)
+        x, y = rows[0], rows[1]
+        p = tuple((SQRT_HALF * complex(np.vdot(b, x)), SQRT_HALF * complex(np.vdot(b, y)))
+                  for b in (form.branch0, form.branch1))
+        sv._memo[bob] = (gram, form, p)
+    return p
 
 
 def concurrence_via_density(sv: StateVector, bob: int) -> float:

@@ -15,9 +15,10 @@ are pure, and every stored amplitude array is read-only.
 
 Because the amplitudes never change, a `StateVector` also carries a private
 memo with one record per analysed receiver qubit, so each entry is computed
-once per object: `sqtkit.schmidt.schmidt_form` stores the Gram triple and
-the Schmidt form with an empty third slot, and `sqtkit.protocol.run_teleport`
-fills that slot with its four projection inner products on its first call.
+once per object. Only `sqtkit.schmidt` reads or writes it: `schmidt_form`
+stores the Gram triple and the Schmidt form with an empty third slot, and
+`_projection`, on the first `sqtkit.protocol.run_teleport` call, fills that
+slot with the four projection inner products.
 Every function here that returns a `StateVector` returns a new object, whose
 memo starts empty.
 """

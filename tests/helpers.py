@@ -9,10 +9,13 @@ paper's own constructions, which the engine replaces by the closed-form top
 root and four inner products with the branches; they are kept here as referees.
 `correction_matrix` is the matrix image of the package's scalar correction,
 and `PAULI_Z` the gate the statevec tests apply; nothing in the package reads
-either.
+either. `concurrence` is the form's concurrence read as a function,
+`haar_info_samples` the batch of the Haar draw `haar_random_info` makes one
+row of, and `exact_gram` the Gram step in exact rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,13 +32,15 @@ from sqtkit import (
     permute_qubits,
     random_state,
     schmidt_branch_family,
+    schmidt_form,
     separable_branch_family,
     w_general,
     zha_counterexample,
 )
 from sqtkit.errors import OutOfRange
+from sqtkit.families import _generator
 from sqtkit.protocol import _OUTCOMES, _correct
-from sqtkit.schmidt import DEGENERATE_TOL, OVERLAP_TOL
+from sqtkit.schmidt import DEGENERATE_TOL, OVERLAP_TOL, _receiver_blocks
 from sqtkit.statevec import _shown, check_qubit_count, check_qubit_index, is_int
 
 SQRT_HALF = math.sqrt(0.5)
@@ -96,6 +101,37 @@ def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
         raise OutOfRange(f"outcome must be an integer in 0..3, got {_shown(outcome)}")
     u = receiver_basis.tolist()
     return np.array([_correct(outcome, u, 1.0, 0.0), _correct(outcome, u, 0.0, 1.0)], dtype=complex).T
+
+
+def concurrence(sv: StateVector, bob: int) -> float:
+    """Bipartite concurrence 2·Ā·B̄ between qubit `bob` and the rest."""
+    return schmidt_form(sv, bob).concurrence
+
+
+def haar_info_samples(count: int, rng=None) -> np.ndarray:
+    """(count, 2) array of Haar-random qubit amplitude pairs.
+
+    Two independent complex Gaussians per row, normalized; `haar_random_info`
+    draws one such row, and its |amp0|² is the uniform weight that
+    `average_fidelity_mc` draws directly.
+    """
+    if not (is_int(count) and count >= 1):
+        raise OutOfRange(f"count must be an integer ≥ 1, got {_shown(count)}")
+    gen = _generator(rng)
+    raw = gen.standard_normal((count, 2)) + 1j * gen.standard_normal((count, 2))
+    return raw * (1.0 / np.linalg.norm(raw, axis=1, keepdims=True))
+
+
+def exact_gram(sv: StateVector, bob: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """A², B², Re g and Im g of the receiver split, g = ⟨y|x⟩, exactly as the
+    rationals the stored doubles denote: no rounding anywhere."""
+    x, y = ([(Fraction(v.real), Fraction(v.imag)) for v in row.tolist()]
+            for row in _receiver_blocks(sv, bob))
+    a2 = sum(re * re + im * im for re, im in x)
+    b2 = sum(re * re + im * im for re, im in y)
+    g_re = sum(yr * xr + yi * xi for (xr, xi), (yr, yi) in zip(x, y))
+    g_im = sum(yr * xi - yi * xr for (xr, xi), (yr, yi) in zip(x, y))
+    return a2, b2, g_re, g_im
 
 
 def apply_one_qubit(sv: StateVector, q: int, op) -> StateVector:

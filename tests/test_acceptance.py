@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import reconstruct_form
+from helpers import concurrence, haar_info_samples, reconstruct_form
 from sqtkit import (
     InfoQubit,
     acin_alternative,
@@ -18,10 +18,8 @@ from sqtkit import (
     average_fidelity_mc,
     check_3qubit,
     check_general,
-    concurrence,
     concurrence_via_density,
     ghz,
-    haar_info_samples,
     maf,
     new_state,
     outcome_table,

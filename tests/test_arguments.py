@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import correction_matrix
+from helpers import correction_matrix, haar_info_samples
 from sqtkit import (
     DimensionMismatch,
     InfoQubit,
@@ -24,7 +24,6 @@ from sqtkit import (
     classify_zha,
     concurrence_via_density,
     ghz,
-    haar_info_samples,
     maf,
     new_state,
     outcome_table,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import FAMILY_MEMBERS, basis_state
+from helpers import FAMILY_MEMBERS, basis_state, concurrence
 from sqtkit import (
     ConstraintViolated,
     NotNormalized,
@@ -15,7 +15,6 @@ from sqtkit import (
     check_general,
     classify_acin_alt,
     classify_zha,
-    concurrence,
     ghz,
     new_state,
     random_state,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import concurrence
 from sqtkit import (
     ConstraintViolated,
     NotNormalized,
@@ -13,7 +14,6 @@ from sqtkit import (
     check_3qubit,
     check_general,
     classify_zha,
-    concurrence,
     concurrence_via_density,
     ghz,
     random_state,

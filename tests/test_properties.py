@@ -7,10 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_one_qubit
+from helpers import apply_one_qubit, concurrence
 from sqtkit import (
     StateVector,
-    concurrence,
     concurrence_via_density,
     permute_qubits,
     random_state,

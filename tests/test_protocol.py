@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import basis_state, correction_matrix, measurement_basis
+from helpers import basis_state, correction_matrix, haar_info_samples, measurement_basis
 from sqtkit import protocol
 from sqtkit import (
     CORRECTION_LABELS,
@@ -15,7 +15,6 @@ from sqtkit import (
     average_fidelity_mc,
     concurrence_via_density,
     ghz,
-    haar_info_samples,
     haar_random_info,
     maf,
     move_to_last_perm,
@@ -382,9 +381,24 @@ class TestHaarSampling:
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
     def test_single_draw_matches_batch(self):
-        info = haar_random_info(123)
-        pair = haar_info_samples(1, 123)[0]
-        assert info.amp0 == complex(pair[0]) and info.amp1 == complex(pair[1])
+        # haar_random_info draws its own (1, 2) row; drawn 1-D, its norm would
+        # sum in another order and give different last bits for some seeds
+        def bits(info):
+            return np.array([info.amp0, info.amp1]).view(np.uint64).tolist()
+
+        def batch_row(rng):
+            return bits(InfoQubit(*haar_info_samples(1, rng)[0]))
+
+        for seed in [*range(1000), np.int64(123)]:
+            assert bits(haar_random_info(seed)) == batch_row(seed), seed
+        gen, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(2):
+            assert bits(haar_random_info(gen)) == batch_row(ref)
+
+    def test_seed_1_draw_is_pinned(self):
+        info = haar_random_info(1)
+        assert info.amp0 == 0.21424427007839503 + 0.20485384406841478j
+        assert info.amp1 == 0.5093606231982168 - 0.8078898754434876j
 
     def test_moments(self):
         pairs = haar_info_samples(1_000_000, 0)

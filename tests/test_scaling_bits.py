@@ -13,10 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import haar_info_samples
 from sqtkit import (
     StateVector,
     concurrence_via_density,
-    haar_info_samples,
     new_state,
     random_state,
     schmidt_form,

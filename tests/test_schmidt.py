@@ -7,6 +7,7 @@ from helpers import (
     FAMILY_MEMBERS,
     basis_state,
     brute_force_concurrence,
+    concurrence,
     reconstruct_form,
     rotation_candidates,
 )
@@ -19,7 +20,6 @@ from sqtkit import (
     average_fidelity_mc,
     check_3qubit,
     check_general,
-    concurrence,
     concurrence_via_density,
     ghz,
     maf,

@@ -11,9 +11,9 @@ PUBLIC = [
     "OutcomeRecord", "PAULI_X", "PerfectVerdict", "SchmidtForm", "SqtError",
     "StateVector", "TeleportResult", "TooManyQubits", "WrongQubitCount", "ZhaReport",
     "acin_alternative", "acin_canonical", "average_fidelity_mc", "check_3qubit",
-    "check_general", "classify_acin_alt", "classify_zha", "cli", "concurrence",
+    "check_general", "classify_acin_alt", "classify_zha", "cli",
     "concurrence_via_density", "conditions", "errors", "families",
-    "ghz", "haar_info_samples", "haar_random_info", "maf", "move_to_last_perm",
+    "ghz", "haar_random_info", "maf", "move_to_last_perm",
     "new_state", "outcome_table", "permute_qubits", "protocol", "random_state",
     "rotation_matrix", "run_teleport", "schmidt", "schmidt_branch_family",
     "schmidt_form", "separable_branch_family", "split_by_receiver", "statevec",
