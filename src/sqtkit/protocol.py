@@ -29,10 +29,10 @@ CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 _OUTCOMES = ((0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1))
 # Haar samples drawn and reduced at a time by average_fidelity_mc, which
 # bounds its memory whatever the sample count: the tracemalloc peak of one
-# full chunk is 16.8 MB (16 MiB), the chunk's weights and its values.
+# full chunk is 8.4 MB (8 MiB), the one array of draws it reduces in place.
 MC_CHUNK = 1 << 20
-# Largest sample count average_fidelity_mc accepts: about 12 seconds of draws
-# (1024 chunks at ~11 ms each); larger requests are refused before any draw.
+# Largest sample count average_fidelity_mc accepts: about 7.5 seconds of draws
+# (1024 chunks at ~7.3 ms each); larger requests are refused before any draw.
 MC_MAX_SAMPLES = 1 << 30
 # An outcome of probability P ≤ ZERO_PROB never occurs: outcome_table reports
 # fidelity 0 for it and the receiver qubit |0̄⟩, as nothing is left to normalize.
@@ -196,40 +196,39 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
 
     Samples Haar-random information qubits and averages the already-summed
     outcome-weighted fidelity, which for weights (p, 1−p) = (|amp0|², |amp1|²)
-    is Σ_r P(r)·F(r) = (B̄ + p·(Ā − B̄))² + (Ā − p·(Ā − B̄))². Only the
-    information state is sampled; the sum over outcomes is exact. For a Haar
-    qubit p = (1 + z)/2 with the Bloch coordinate z uniform on [−1, 1]
-    (Archimedes), so p is uniform on [0, 1] and each sample draws it as one
-    ``random()`` double; the complex amplitudes, which the sum does not read,
-    are never formed.
+    is Σ_r P(r)·F(r) = (B̄ + p·(Ā − B̄))² + (Ā − p·(Ā − B̄))², that is
+    (Ā² + B̄² − k/4) + k·(p − ½)² with k = 2(Ā − B̄)². Only the information
+    state is sampled; the sum over outcomes is exact. For a Haar qubit the
+    Bloch coordinate z = 2p − 1 is uniform on [−1, 1] (Archimedes), so each
+    sample draws p as one ``random()`` double and the sum is the parabola
+    (1 + C)/2 + (1 − C)·z²/2 when Ā² + B̄² = 1. Only h = (p − ½)² is averaged,
+    in place in the drawn array (p − ½ is exact for every double ``random()``
+    returns), and its mean and spread are mapped back through k.
     """
     if not (is_int(samples) and 1 <= samples <= MC_MAX_SAMPLES):
         raise OutOfRange(f"samples must be an integer in 1..{MC_MAX_SAMPLES}, got {_shown(samples)}")
     form = schmidt_form(resource, bob)
     ca, cb = form.coeff0, form.coeff1
     d = ca - cb
+    k = 2.0 * d * d
     gen = _generator(seed)
     # Chunks of at most MC_CHUNK draws from one generator, merged exactly
-    # (Chan et al.): with a single chunk the result is values.mean() and
-    # values.std(ddof=1)/√samples bit for bit.
+    # (Chan et al.): with a single chunk the mean and spread of h are
+    # h.mean() and h.std(ddof=1) bit for bit.
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, samples, MC_CHUNK):
         size = min(MC_CHUNK, samples - start)
-        p = gen.random(size)
-        p *= d
-        values = p + cb
-        values *= values
-        p -= ca  # −(Ā − p·(Ā − B̄)), whose square is the same double
-        p *= p
-        values += p
-        chunk_mean = float(values.mean())
-        values -= chunk_mean
-        values *= values
-        chunk_m2 = float(values.sum())
+        h = gen.random(size)
+        h -= 0.5
+        h *= h
+        chunk_mean = float(h.sum()) / size
+        h -= chunk_mean
+        h *= h
+        chunk_m2 = float(h.sum())
         total = count + size
         delta = chunk_mean - mean
         mean += delta * (size / total)
         m2 += chunk_m2 + delta * delta * (count * size / total)
         count = total
-    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) if samples > 1 else 0.0
-    return McEstimate(mean, stderr, samples)
+    stderr = k * math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) if samples > 1 else 0.0
+    return McEstimate((ca * ca + cb * cb - 0.25 * k) + k * mean, stderr, samples)

@@ -11,7 +11,8 @@ root and four inner products with the branches; they are kept here as referees.
 and `PAULI_Z` the gate the statevec tests apply; nothing in the package reads
 either. `concurrence` is the form's concurrence read as a function,
 `haar_info_samples` the batch of the Haar draw `haar_random_info` makes one
-row of, and `exact_gram` the Gram step in exact rational arithmetic.
+row of, and `exact_gram` the Gram step and `exact_mc_moments` the Monte Carlo
+reduction in exact rational arithmetic.
 """
 
 import math
@@ -132,6 +133,17 @@ def exact_gram(sv: StateVector, bob: int) -> tuple[Fraction, Fraction, Fraction,
     g_re = sum(yr * xr + yi * xi for (xr, xi), (yr, yi) in zip(x, y))
     g_im = sum(yr * xi - yi * xr for (xr, xi), (yr, yi) in zip(x, y))
     return a2, b2, g_re, g_im
+
+
+def exact_mc_moments(form: SchmidtForm, p: np.ndarray) -> tuple[Fraction, Fraction]:
+    """Exact mean and sample variance of the per-sample fidelity
+    Ā² + B̄² − 2(Ā − B̄)²·p(1 − p) over the weights p, with the coefficients and
+    each weight taken as the rationals the stored doubles denote."""
+    ca, cb = Fraction(form.coeff0), Fraction(form.coeff1)
+    s, k = ca * ca + cb * cb, 2 * (ca - cb) ** 2
+    values = [s - k * w * (1 - w) for w in map(Fraction, p.tolist())]
+    mean = sum(values) / len(values)
+    return mean, sum((v - mean) ** 2 for v in values) / (len(values) - 1)
 
 
 def apply_one_qubit(sv: StateVector, q: int, op) -> StateVector:

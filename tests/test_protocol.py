@@ -566,13 +566,17 @@ def _summed_fidelities(p, form):
 
 class TestMonteCarloChunks:
     def test_single_chunk_is_the_plain_reduction(self, monkeypatch):
+        # each sample is (S − k/4) + k·h with h = (p − ½)², S = Ā² + B̄², k = 2(Ā − B̄)²
         sv = random_state(3, 11)
-        values = _summed_fidelities(np.random.default_rng(8).random(1000), schmidt_form(sv, 1))
+        form = schmidt_form(sv, 1)
+        ca, cb = form.coeff0, form.coeff1
+        s, k = ca * ca + cb * cb, 2.0 * (ca - cb) * (ca - cb)
+        h = (np.random.default_rng(8).random(1000) - 0.5) ** 2
         for chunk in (protocol.MC_CHUNK, 1000):
             monkeypatch.setattr(protocol, "MC_CHUNK", chunk)
             est = average_fidelity_mc(sv, 1, 1000, 8)
-            assert est.mean == float(values.mean())
-            assert est.stderr == float(values.std(ddof=1) / math.sqrt(1000))
+            assert est.mean == (s - k / 4) + k * float(h.mean())
+            assert est.stderr == k * float(h.std(ddof=1)) / math.sqrt(1000)
 
     def test_chunks_merge_to_the_concatenated_draws(self, monkeypatch):
         monkeypatch.setattr(protocol, "MC_CHUNK", 1000)
@@ -598,3 +602,15 @@ class TestMonteCarloChunks:
                 tracemalloc.stop()
         # all draws at once would take ≥ 32 B per sample (the complex pairs)
         assert peaks[1] < 2 * peaks[0] < 40 * 4096 * 32
+
+    def test_a_full_chunk_peaks_at_one_float_array(self):
+        # the draws are reduced in place: one float64 array of MC_CHUNK values
+        sv = random_state(3, 13)
+        schmidt_form(sv, 2)
+        tracemalloc.start()
+        try:
+            average_fidelity_mc(sv, 2, protocol.MC_CHUNK, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * protocol.MC_CHUNK
