@@ -51,15 +51,12 @@ from .schmidt import (
     SchmidtForm,
     concurrence_via_density,
     maf,
-    rotation_matrix,
     schmidt_form,
     split_by_receiver,
 )
 from .statevec import (
     MAX_QUBITS,
-    PAULI_X,
     StateVector,
-    move_to_last_perm,
     new_state,
     permute_qubits,
 )

@@ -67,7 +67,7 @@ def load_document(path: str) -> tuple[StateVector, int, str | None]:
 def document_dict(sv: StateVector, bob: int, label: str | None) -> dict:
     doc = {
         "n": sv.n,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in sv.amps],
+        "amplitudes": sv.amps.view(float).reshape(-1, 2).tolist(),  # [re, im] pairs
         "bob": bob,
     }
     if label is not None:

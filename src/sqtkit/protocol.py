@@ -159,9 +159,10 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     so `sqtkit.schmidt` keeps them with the form in the state's memo: the
     first call on a (state, receiver) takes them and later calls read them.
     The outcome is drawn from the exact Born weights with a seeded
-    generator, so identical arguments reproduce identical runs. The collapsed qubit and its correction are
-    complex scalars until the result is built; the correction is unitary by
-    construction and is applied without re-checking it.
+    generator, so identical arguments reproduce identical runs. The
+    collapsed qubit and its correction are complex scalars until the result
+    is built; the correction is unitary by construction and is applied
+    without re-checking it.
     """
     check_type("info", info, InfoQubit)
     form = schmidt_form(resource, bob)

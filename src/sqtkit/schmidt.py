@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import OutOfRange, WrongQubitCount
 from .families import SQRT_HALF
-from .statevec import PAULI_X, StateVector, _norm, _shown, check_qubit_index, check_type
+from .statevec import StateVector, _norm, _shown, check_qubit_index, check_type
 
 # Branch weight below this counts as an absent branch; block overlap below it
 # counts as already orthogonal (z = 0 then leaves a residual ≪ 1e-10).
@@ -151,12 +151,6 @@ def _top_root(w0: float, w1: float, g: complex) -> complex:
     return complex(2.0 * g.conjugate() / (disc + m) if m >= 0.0 else (disc - m) / (2.0 * g))
 
 
-def rotation_matrix(z: complex) -> np.ndarray:
-    """Receiver-basis unitary U(z); columns are |0̄⟩ = U|0⟩ and |1̄⟩ = U|1⟩."""
-    c = 1.0 / math.sqrt(1.0 + abs(z) ** 2)
-    return np.array([[c, -c * z.conjugate()], [c * z, c]], dtype=complex)
-
-
 def _orthogonal_filler(present: np.ndarray) -> np.ndarray:
     """Some unit vector orthogonal to the unit vector `present` (needs dim ≥ 2)."""
     j = int(np.argmin(np.abs(present)))
@@ -187,10 +181,11 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
         c0, c1 = _norm(raw0) / scale, _norm(raw1) / scale
     else:  # the weights _top_root judged, so the absent-branch test below reads the same number
         raw0, raw1, (c0, c1, _) = rows[0], rows[1], gram
-    u = rotation_matrix(z)
+    c = 1.0 / scale
+    u = np.array([[c, -c * z.conjugate()], [c * z, c]], dtype=complex)  # U(z), columns |0̄⟩, |1̄⟩
     if c1 > c0:
         c0, c1, raw0, raw1 = c1, c0, raw1, raw0
-        u = u @ PAULI_X
+        u = np.ascontiguousarray(u[:, ::-1])  # U's columns swapped with the branches, in a C-ordered copy
     b0 = raw0 * (1.0 / (c0 * scale))
     # raw1 carries rounding of order 1e-16 absolute, i.e. 1e-16/coeff1 in
     # direction: project out its b0 component, and where the branch is

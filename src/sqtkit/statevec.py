@@ -43,9 +43,6 @@ from .errors import (
 MAX_QUBITS = 12
 NORM_TOL = 1e-9
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_X.flags.writeable = False
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -186,10 +183,3 @@ def permute_qubits(sv: StateVector, perm) -> StateVector:
         axes[p] = i
     # reshape copies the transposed view into a fresh C-ordered array
     return StateVector(sv.n, np.transpose(sv.tensor_view(), axes).reshape(-1))
-
-
-def move_to_last_perm(n: int, q: int) -> list[int]:
-    """Permutation sending qubit q to position n − 1, keeping relative order."""
-    check_qubit_count(n)
-    check_qubit_index(n, q)
-    return [n - 1 if i == q else (i - 1 if i > q else i) for i in range(n)]

@@ -9,7 +9,10 @@ paper's own constructions, which the engine replaces by the closed-form top
 root and four inner products with the branches; they are kept here as referees.
 `correction_matrix` is the matrix image of the package's scalar correction,
 and `PAULI_Z` the gate the statevec tests apply; nothing in the package reads
-either. `concurrence` is the form's concurrence read as a function,
+either. `rotation_matrix` is U(z), `PAULI_X` the branch swap and
+`move_to_last_perm` the receiver-last permutation, each built inline where
+the package uses it (`schmidt_form`, `check_3qubit`) and kept here as its
+reference. `concurrence` is the form's concurrence read as a function,
 `haar_info_samples` the batch of the Haar draw `haar_random_info` makes one
 row of, and `exact_gram` the Gram step and `exact_mc_moments` the Monte Carlo
 reduction in exact rational arithmetic.
@@ -28,7 +31,6 @@ from sqtkit import (
     acin_alternative,
     acin_canonical,
     ghz,
-    move_to_last_perm,
     new_state,
     permute_qubits,
     random_state,
@@ -46,8 +48,23 @@ from sqtkit.statevec import _shown, check_qubit_count, check_qubit_index, is_int
 
 SQRT_HALF = math.sqrt(0.5)
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_X.flags.writeable = False
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_Z.flags.writeable = False
+
+
+def rotation_matrix(z: complex) -> np.ndarray:
+    """Receiver-basis unitary U(z); columns are |0̄⟩ = U|0⟩ and |1̄⟩ = U|1⟩."""
+    c = 1.0 / math.sqrt(1.0 + abs(z) ** 2)
+    return np.array([[c, -c * z.conjugate()], [c * z, c]], dtype=complex)
+
+
+def move_to_last_perm(n: int, q: int) -> list[int]:
+    """Permutation sending qubit q to position n − 1, keeping relative order."""
+    check_qubit_count(n)
+    check_qubit_index(n, q)
+    return [n - 1 if i == q else (i - 1 if i > q else i) for i in range(n)]
 
 
 def basis_state(n: int, index: int) -> StateVector:

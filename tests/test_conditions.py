@@ -6,6 +6,7 @@ import pytest
 from helpers import FAMILY_MEMBERS, basis_state, concurrence
 from sqtkit import (
     ConstraintViolated,
+    IndexOutOfRange,
     NotNormalized,
     OutOfRange,
     WrongQubitCount,
@@ -89,6 +90,11 @@ class TestCheck3Qubit:
     def test_rejects_wrong_qubit_count(self):
         with pytest.raises(WrongQubitCount):
             check_3qubit(ghz(4), 0)
+
+    @pytest.mark.parametrize("bob", [True, 1.0, -1, 3, np.int64(3)], ids=repr)
+    def test_rejects_a_bad_receiver(self, bob):
+        with pytest.raises(IndexOutOfRange):
+            check_3qubit(ghz(3), bob)
 
     def test_agreement_with_general_on_random_states(self):
         rng = np.random.default_rng(19)

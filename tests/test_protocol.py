@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import basis_state, correction_matrix, haar_info_samples, measurement_basis
+from helpers import (basis_state, correction_matrix, haar_info_samples, measurement_basis,
+                     move_to_last_perm)
 from sqtkit import protocol
 from sqtkit import (
     CORRECTION_LABELS,
@@ -17,7 +18,6 @@ from sqtkit import (
     ghz,
     haar_random_info,
     maf,
-    move_to_last_perm,
     new_state,
     outcome_table,
     permute_qubits,
@@ -461,22 +461,22 @@ class TestAverageFidelityMc:
         assert est.mean == pytest.approx(0.9809, abs=2e-3)
 
     def test_matches_outcome_table_average(self):
-        # the vectorized estimator and the per-sample table must agree exactly
-        sv = random_state(3, 11)
-        form = schmidt_form(sv, 2)
-        pairs = haar_info_samples(50, 17)
-        by_table = np.mean(
-            [
-                sum(r.prob * r.fidelity for r in outcome_table(InfoQubit(*p), form))
-                for p in pairs
-            ]
-        )
-        pa = np.abs(pairs[:, 0]) ** 2
-        vec = np.mean(
-            (pa * form.coeff0 + (1 - pa) * form.coeff1) ** 2
-            + ((1 - pa) * form.coeff0 + pa * form.coeff1) ** 2
-        )
-        assert vec == pytest.approx(by_table, abs=1e-12)
+        # the estimator against the mean and standard error of Σ_r P(r)·F(r) read
+        # off the outcome table at the weights p = |amp0|² the estimator draws
+        samples = 300
+        for n in (3, 8, 12):
+            sv = random_state(n, n)
+            for bob in (0, n - 1):
+                form = schmidt_form(sv, bob)
+                for seed in range(3):
+                    est = average_fidelity_mc(sv, bob, samples, seed)
+                    p = np.random.default_rng(seed).random(samples)
+                    values = [sum(r.prob * r.fidelity
+                                  for r in outcome_table(InfoQubit(math.sqrt(w), math.sqrt(1.0 - w)), form))
+                              for w in p]
+                    assert abs(est.mean - np.mean(values)) <= 1e-14
+                    stderr = np.std(values, ddof=1) / math.sqrt(samples)
+                    assert est.stderr == pytest.approx(stderr, rel=1e-9, abs=0)
 
     def test_maf_law_on_random_resources(self):
         rng = np.random.default_rng(2)

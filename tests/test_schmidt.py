@@ -5,11 +5,14 @@ import pytest
 
 from helpers import (
     FAMILY_MEMBERS,
+    PAULI_X,
     basis_state,
     brute_force_concurrence,
     concurrence,
+    move_to_last_perm,
     reconstruct_form,
     rotation_candidates,
+    rotation_matrix,
 )
 from sqtkit import (
     IndexOutOfRange,
@@ -23,12 +26,10 @@ from sqtkit import (
     concurrence_via_density,
     ghz,
     maf,
-    move_to_last_perm,
     new_state,
     outcome_table,
     permute_qubits,
     random_state,
-    rotation_matrix,
     run_teleport,
     schmidt_form,
     split_by_receiver,
@@ -267,6 +268,9 @@ ENGINE_EDGES = {
        for eps in (0.0, 1e-12, 1e-9, 1e-6) for bob in (0, 3)},
     "equal-weights-rotated": (split_state(1.0, 1.0, 0.3 * np.exp(1j)), 2),
     "equal-weights-rotated-bob0": (split_state(1.0, 1.0, -0.5j, bob=0), 0),
+    # z = 0 with B > A, which swaps the branches, as overlap-0.5x-unequal does
+    "swap-ghz-unequal": (new_state(3, [0.6, 0, 0, 0, 0, 0, 0, -0.8j]), 2),
+    "swap-w-heavy-001": (w_general(0.3, 0.4j, math.sqrt(0.75)), 2),
 }
 
 
@@ -280,10 +284,16 @@ def test_engine_edges(sv, bob):
     assert form.coeff0 >= form.coeff1 >= 0
     np.testing.assert_allclose(reconstruct_form(form, sv.n, bob), sv.amps, atol=1e-10)
     assert abs(form.concurrence - concurrence_via_density(sv, bob)) < 1e-10
+    split = split_by_receiver(sv, bob)
     if form.z != 0:
-        roots = rotation_candidates(split_by_receiver(sv, bob))
+        roots = rotation_candidates(split)
         assert min(abs(form.z - r) for r in roots) <= 1e-12 * abs(form.z)
-        np.testing.assert_array_equal(form.receiver_basis, rotation_matrix(form.z))
+    # the form swaps the branch order, and U's columns with it, exactly when z = 0 and B > A
+    swapped = form.z == 0 and split.weight1 > split.weight0
+    want = rotation_matrix(form.z) @ PAULI_X if swapped else rotation_matrix(form.z)
+    u = form.receiver_basis
+    assert u.flags.c_contiguous and not u.flags.writeable
+    np.testing.assert_array_equal(u.view(np.uint64), want.view(np.uint64))
 
 
 class TestConcurrence:

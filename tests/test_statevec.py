@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import PAULI_Z, apply_one_qubit, basis_state, brute_force_density
+from helpers import (PAULI_X, PAULI_Z, apply_one_qubit, basis_state, brute_force_density,
+                     move_to_last_perm)
 from sqtkit import (
-    PAULI_X,
     DimensionMismatch,
     IndexOutOfRange,
     InfoQubit,
@@ -16,7 +16,6 @@ from sqtkit import (
     StateVector,
     TooManyQubits,
     classify_zha,
-    move_to_last_perm,
     new_state,
     permute_qubits,
     split_by_receiver,

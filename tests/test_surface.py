@@ -8,14 +8,14 @@ PUBLIC = [
     "AcinAltReport", "BipartiteSplit", "CORRECTION_LABELS", "ConstraintViolated",
     "DimensionMismatch", "IndexOutOfRange", "InfoQubit", "InvalidDocument",
     "InvalidPermutation", "MAX_QUBITS", "McEstimate", "NotNormalized", "OutOfRange",
-    "OutcomeRecord", "PAULI_X", "PerfectVerdict", "SchmidtForm", "SqtError",
+    "OutcomeRecord", "PerfectVerdict", "SchmidtForm", "SqtError",
     "StateVector", "TeleportResult", "TooManyQubits", "WrongQubitCount", "ZhaReport",
     "acin_alternative", "acin_canonical", "average_fidelity_mc", "check_3qubit",
     "check_general", "classify_acin_alt", "classify_zha", "cli",
     "concurrence_via_density", "conditions", "errors", "families",
-    "ghz", "haar_random_info", "maf", "move_to_last_perm",
+    "ghz", "haar_random_info", "maf",
     "new_state", "outcome_table", "permute_qubits", "protocol", "random_state",
-    "rotation_matrix", "run_teleport", "schmidt", "schmidt_branch_family",
+    "run_teleport", "schmidt", "schmidt_branch_family",
     "schmidt_form", "separable_branch_family", "split_by_receiver", "statevec",
     "w_general", "zha_counterexample",
 ]
