@@ -27,13 +27,10 @@ from .statevec import StateVector, _shown, check_type, is_int, new_state
 CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 # Outcome r's (branch paired with information |0⟩, branch paired with |1⟩, sign)
 _OUTCOMES = ((0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1))
-# Haar samples drawn and reduced at a time by average_fidelity_mc, which
-# bounds its memory whatever the sample count: the tracemalloc peak of one
-# full chunk is 8.4 MB (8 MiB), the one array of draws it reduces in place.
-MC_CHUNK = 1 << 20
-# Largest sample count average_fidelity_mc accepts: about 7.5 seconds of draws
-# (1024 chunks at ~7.3 ms each); larger requests are refused before any draw.
-MC_MAX_SAMPLES = 1 << 30
+# Largest sample count average_fidelity_mc accepts, drawn as one array that it
+# reduces in place (a tracemalloc peak of 8.4 MB, 8 MiB, at the cap); larger
+# requests are refused before any draw. At the cap the stderr is ≤ 1.5e-4.
+MC_MAX_SAMPLES = 1 << 20
 # An outcome of probability P ≤ ZERO_PROB never occurs: outcome_table reports
 # fidelity 0 for it and the receiver qubit |0̄⟩, as nothing is left to normalize.
 ZERO_PROB = 1e-30
@@ -206,30 +203,17 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
     in place in the drawn array (p − ½ is exact for every double ``random()``
     returns), and its mean and spread are mapped back through k.
     """
-    if not (is_int(samples) and 1 <= samples <= MC_MAX_SAMPLES):
-        raise OutOfRange(f"samples must be an integer in 1..{MC_MAX_SAMPLES}, got {_shown(samples)}")
+    if not (is_int(samples) and 2 <= samples <= MC_MAX_SAMPLES):
+        raise OutOfRange(f"samples must be an integer in 2..{MC_MAX_SAMPLES}, got {_shown(samples)}")
     form = schmidt_form(resource, bob)
     ca, cb = form.coeff0, form.coeff1
     d = ca - cb
     k = 2.0 * d * d
-    gen = _generator(seed)
-    # Chunks of at most MC_CHUNK draws from one generator, merged exactly
-    # (Chan et al.): with a single chunk the mean and spread of h are
-    # h.mean() and h.std(ddof=1) bit for bit.
-    count, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, samples, MC_CHUNK):
-        size = min(MC_CHUNK, samples - start)
-        h = gen.random(size)
-        h -= 0.5
-        h *= h
-        chunk_mean = float(h.sum()) / size
-        h -= chunk_mean
-        h *= h
-        chunk_m2 = float(h.sum())
-        total = count + size
-        delta = chunk_mean - mean
-        mean += delta * (size / total)
-        m2 += chunk_m2 + delta * delta * (count * size / total)
-        count = total
-    stderr = k * math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) if samples > 1 else 0.0
+    h = _generator(seed).random(samples)
+    h -= 0.5
+    h *= h
+    mean = float(h.sum()) / samples
+    h -= mean
+    h *= h
+    stderr = k * math.sqrt(float(h.sum()) / (samples - 1)) / math.sqrt(samples)
     return McEstimate((ca * ca + cb * cb - 0.25 * k) + k * mean, stderr, samples)

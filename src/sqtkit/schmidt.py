@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import OutOfRange, WrongQubitCount
 from .families import SQRT_HALF
-from .statevec import StateVector, _norm, _shown, check_qubit_index, check_type
+from .statevec import StateVector, _norm, _shown, check_qubit_index, check_type, is_real
 
 # Branch weight below this counts as an absent branch; block overlap below it
 # counts as already orthogonal (z = 0 then leaves a residual ≪ 1e-10).
@@ -245,6 +245,6 @@ def concurrence_via_density(sv: StateVector, bob: int) -> float:
 
 def maf(concurrence: float) -> float:
     """Maximal average teleportation fidelity (2 + C)/3 for concurrence C."""
-    if not -CONCURRENCE_SLACK <= concurrence <= 1.0 + CONCURRENCE_SLACK:
-        raise OutOfRange(f"concurrence must lie in [0, 1], got {_shown(concurrence)}")
+    if not (is_real(concurrence) and -CONCURRENCE_SLACK <= concurrence <= 1.0 + CONCURRENCE_SLACK):
+        raise OutOfRange(f"concurrence must be a real number in [0, 1], got {_shown(concurrence)}")
     return (2.0 + min(max(concurrence, 0.0), 1.0)) / 3.0

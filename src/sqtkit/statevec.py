@@ -173,7 +173,7 @@ def permute_qubits(sv: StateVector, perm) -> StateVector:
     the original array bit for bit.
     """
     check_type("sv", sv, StateVector)
-    perm = list(perm)
+    perm = list(perm) if np.iterable(perm) else [perm]
     if not all(map(is_int, perm)) or sorted(perm) != list(range(sv.n)):
         raise InvalidPermutation(f"{_shown(perm)} is not a permutation of 0..{sv.n - 1}")
     # transpose places input axis axes[k] at output position k, so sending

@@ -63,6 +63,7 @@ VALID = {
     "classify_acin_alt": (classify_acin_alt, (0.5, 0.0, SQRT_HALF, 0.5, 0.0, 0.4, 1e-9), ()),
     "new_state": (new_state, (1, [0.6, 0.8j]), (1,)),
     "InfoQubit": (InfoQubit, (0.6, 0.8j), (0, 1)),
+    "maf": (maf, (0.5,), ()),
 }
 JUNK = (True, "0.5", "x", None)
 CASES = [

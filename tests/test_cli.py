@@ -170,7 +170,8 @@ class TestTeleport:
         doc = json.loads(capsys.readouterr().out)
         assert doc["estimate"] == pytest.approx(doc["closed_form"], abs=5e-3)
 
-    @pytest.mark.parametrize("samples", [protocol.MC_MAX_SAMPLES + 1, 100_000_000_000])
+    # the cap's edge, 2³⁰ + 1 and a count far beyond
+    @pytest.mark.parametrize("samples", [protocol.MC_MAX_SAMPLES + 1, (1 << 30) + 1, 100_000_000_000])
     def test_samples_beyond_the_cap_exit_two(self, ghz_file, capsys, samples):
         assert main(["teleport", ghz_file, "--samples", str(samples)]) == 2
         captured = capsys.readouterr()
@@ -195,7 +196,8 @@ class TestTeleport:
         assert exc.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("samples", ["0", "-1"])
+    # one sample has no standard error to report
+    @pytest.mark.parametrize("samples", ["0", "-1", "1"])
     def test_non_positive_samples_exit_two(self, ghz_file, capsys, samples):
         assert main(["teleport", ghz_file, "--samples", samples]) == 2
         captured = capsys.readouterr()

@@ -22,15 +22,11 @@ exact mean of h, A = S − K/4 and B = K·H, the exact mean is E = A + B; as
 - fl(k·h̄) is within (3 + L + 2 + 1)u of B, relatively: (L + 6)u·S/2;
 - the last addition rounds by at most u·E ≤ u·S.
 
-That sums to (L/2 + 8.5)u·S ≤ (⌈log₂m⌉ + 35)u·S/2. Chunks merged by Chan's
-update carry their means' relative errors through its convex weights, and
-each merge after the first, which is exact, adds at most u·¼ for its sum and
-3u·w·¼ for the weighted step, with w ≤ ½ and both the running mean and its
-change in [0, ¼], as h is: 5u/8 on h̄, which k ≤ 2S makes 1.25u·S. Terms of
-second order stay below (L + 6)²u²·S, far under u·S/2. So with J chunks of
-N draws in all, ⌈log₂N⌉ bounding every chunk's ⌈log₂m⌉,
+That sums to (L/2 + 8.5)u·S ≤ (⌈log₂m⌉ + 35)u·S/2, and one call sums all
+its N draws in one array, so m = N. Terms of second order stay below
+(L + 6)²u²·S, far under u·S/2. So
 
-    |mean − E| ≤ (⌈log₂N⌉ + c)·u·S/2,  c = 36 + 2.5·(J − 1).
+    |mean − E| ≤ (⌈log₂N⌉ + 36)·u·S/2.
 
 The standard error is held to the exact √(var/N) within rel 1e-12, a
 loose check of the deviations' second pass.
@@ -43,7 +39,7 @@ import numpy as np
 import pytest
 
 from helpers import exact_mc_moments
-from sqtkit import average_fidelity_mc, protocol, random_state, schmidt_form, w_general
+from sqtkit import average_fidelity_mc, random_state, schmidt_form, w_general
 
 U = 2.0**-53
 
@@ -53,25 +49,18 @@ CASES = {
 }
 
 
-def bound(samples: int, chunks: int, s: Fraction) -> Fraction:
-    c = 36 + Fraction(5, 2) * (chunks - 1)
-    return (math.ceil(math.log2(samples)) + c) * Fraction(U) * s / 2
+def bound(samples: int, s: Fraction) -> Fraction:
+    return (math.ceil(math.log2(samples)) + 36) * Fraction(U) * s / 2
 
 
-@pytest.mark.parametrize("samples, chunk", [(1000, None), (3517, 1000)], ids=["one-chunk", "merged"])
+@pytest.mark.parametrize("samples", [1000, 3517], ids=["one-chunk", "odd-count"])
 @pytest.mark.parametrize("name", CASES)
-def test_mc_mean_and_stderr_are_within_their_bounds(monkeypatch, name, samples, chunk):
+def test_mc_mean_and_stderr_are_within_their_bounds(name, samples):
     sv, bob = CASES[name]
-    if chunk is not None:
-        monkeypatch.setattr(protocol, "MC_CHUNK", chunk)
-    step = protocol.MC_CHUNK
     form = schmidt_form(sv, bob)
     assert form.coeff0 >= 0 and form.coeff1 >= 0
-    gen = np.random.default_rng(9)
-    p = np.concatenate([gen.random(min(step, samples - s)) for s in range(0, samples, step)])
-    mean, var = exact_mc_moments(form, p)
+    mean, var = exact_mc_moments(form, np.random.default_rng(9).random(samples))
     est = average_fidelity_mc(sv, bob, samples, 9)
     s = Fraction(form.coeff0) ** 2 + Fraction(form.coeff1) ** 2
-    chunks = -(-samples // step)
-    assert abs(Fraction(est.mean) - mean) <= bound(samples, chunks, s)
+    assert abs(Fraction(est.mean) - mean) <= bound(samples, s)
     assert est.stderr == pytest.approx(math.sqrt(var / samples), rel=1e-12)

@@ -496,10 +496,13 @@ class TestAverageFidelityMc:
         assert a == b
 
     def test_rejects_bad_sample_count(self):
-        with pytest.raises(OutOfRange):
-            average_fidelity_mc(ghz(3), 2, 0, 0)
+        # one sample has no standard error: its spread is taken with ddof = 1
+        for samples in (0, 1):
+            with pytest.raises(OutOfRange, match=f"2..{protocol.MC_MAX_SAMPLES}"):
+                average_fidelity_mc(ghz(3), 2, samples, 0)
 
-    @pytest.mark.parametrize("samples", [protocol.MC_MAX_SAMPLES + 1, 100_000_000_000])
+    # the cap's edge, 2³⁰ + 1 and a count far beyond
+    @pytest.mark.parametrize("samples", [protocol.MC_MAX_SAMPLES + 1, (1 << 30) + 1, 100_000_000_000])
     def test_refuses_counts_beyond_the_cap_before_drawing(self, monkeypatch, samples):
         monkeypatch.setattr(protocol, "_generator", _no_draws)
         with pytest.raises(OutOfRange, match=str(protocol.MC_MAX_SAMPLES)):
@@ -565,52 +568,35 @@ def _summed_fidelities(p, form):
 
 
 class TestMonteCarloChunks:
-    def test_single_chunk_is_the_plain_reduction(self, monkeypatch):
+    def test_single_chunk_is_the_plain_reduction(self):
         # each sample is (S − k/4) + k·h with h = (p − ½)², S = Ā² + B̄², k = 2(Ā − B̄)²
         sv = random_state(3, 11)
         form = schmidt_form(sv, 1)
         ca, cb = form.coeff0, form.coeff1
         s, k = ca * ca + cb * cb, 2.0 * (ca - cb) * (ca - cb)
         h = (np.random.default_rng(8).random(1000) - 0.5) ** 2
-        for chunk in (protocol.MC_CHUNK, 1000):
-            monkeypatch.setattr(protocol, "MC_CHUNK", chunk)
-            est = average_fidelity_mc(sv, 1, 1000, 8)
-            assert est.mean == (s - k / 4) + k * float(h.mean())
-            assert est.stderr == k * float(h.std(ddof=1)) / math.sqrt(1000)
+        est = average_fidelity_mc(sv, 1, 1000, 8)
+        assert est.mean == (s - k / 4) + k * float(h.mean())
+        assert est.stderr == k * float(h.std(ddof=1)) / math.sqrt(1000)
 
-    def test_chunks_merge_to_the_concatenated_draws(self, monkeypatch):
-        monkeypatch.setattr(protocol, "MC_CHUNK", 1000)
+    def test_chunks_merge_to_the_concatenated_draws(self):
+        # one call is one draw of `samples` doubles, at any count up to the cap
         sv = random_state(4, 12)
-        gen = np.random.default_rng(5)
-        p = np.concatenate([gen.random(size) for size in (1000, 1000, 1000, 517)])
+        p = np.random.default_rng(5).random(3517)
         values = _summed_fidelities(p, schmidt_form(sv, 2))
         est = average_fidelity_mc(sv, 2, 3517, 5)
         assert est.samples == 3517
         assert est.mean == pytest.approx(values.mean(), rel=1e-14)
         assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(3517), rel=1e-12)
 
-    def test_peak_memory_does_not_grow_with_samples(self, monkeypatch):
-        monkeypatch.setattr(protocol, "MC_CHUNK", 4096)
-        sv = random_state(3, 13)
-        peaks = []
-        for samples in (4096, 40 * 4096):
-            tracemalloc.start()
-            try:
-                average_fidelity_mc(sv, 2, samples, 0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # all draws at once would take ≥ 32 B per sample (the complex pairs)
-        assert peaks[1] < 2 * peaks[0] < 40 * 4096 * 32
-
     def test_a_full_chunk_peaks_at_one_float_array(self):
-        # the draws are reduced in place: one float64 array of MC_CHUNK values
+        # the draws are reduced in place: one float64 array of MC_MAX_SAMPLES values
         sv = random_state(3, 13)
         schmidt_form(sv, 2)
         tracemalloc.start()
         try:
-            average_fidelity_mc(sv, 2, protocol.MC_CHUNK, 0)
+            average_fidelity_mc(sv, 2, protocol.MC_MAX_SAMPLES, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 8 * protocol.MC_CHUNK
+        assert peak <= 1.05 * 8 * protocol.MC_MAX_SAMPLES

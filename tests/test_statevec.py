@@ -261,8 +261,8 @@ class TestPermuteQubits:
 
     @pytest.mark.parametrize(
         "perm",
-        [[0.9, 1.5, 2.2], [True, False, 2], np.array([0, 1, 2.7])],
-        ids=["floats", "bools", "float-array"],
+        [[0.9, 1.5, 2.2], [True, False, 2], np.array([0, 1, 2.7]), 5, None],
+        ids=["floats", "bools", "float-array", "int", "none"],
     )
     def test_rejects_non_integer_entries(self, perm):
         with pytest.raises(InvalidPermutation):
