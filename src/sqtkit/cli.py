@@ -189,12 +189,6 @@ def cmd_teleport(args) -> int:
     return 0
 
 
-def _qubit_count(x: float) -> int:
-    if not x.is_integer():
-        raise ConstraintViolated(f"qubit count must be an integer, got {x}")
-    return int(x)
-
-
 # family -> (builder in `families`, parameter names, gen flags read), in the builder's argument order
 FAMILIES = {
     "ghz": ("ghz", ("n",), ()),
@@ -219,7 +213,7 @@ def _build_family(args) -> tuple[StateVector, str]:
     unread = [f"--{flag}" for flag in given if flag not in reads]
     if unread:
         raise ConstraintViolated(f"family '{family}' does not read {', '.join(unread)}")
-    values = [_qubit_count(p) if name == "n" else p for name, p in zip(names, args.params)]
+    values = [int(p) if name == "n" and p.is_integer() else p for name, p in zip(names, args.params)]
     flags = [given.get(flag, 0) for flag in reads]
     label = f"{family}({', '.join(map(repr, values))})"
     return getattr(families, builder)(*values, *flags), label

@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import ConstraintViolated, OutOfRange, WrongQubitCount
 from .families import SQRT_HALF, acin_alternative, check_coefficients, check_phase
-from .schmidt import split_by_receiver
-from .statevec import (StateVector, _shown, check_qubit_index, check_type, check_unit_norm, is_real,
-                       permute_qubits)
+from .schmidt import _check_receiver, split_by_receiver
+from .statevec import StateVector, _shown, check_unit_norm, is_real, permute_qubits
 
 # Default tolerance of every verdict here and of `sqtkit check --tol`.
 VERDICT_TOL = 1e-9
@@ -66,10 +65,9 @@ def check_3qubit(resource: StateVector, bob: int, tol: float = VERDICT_TOL) -> P
     checker's, so the verdicts agree.
     """
     _check_tol(tol)
-    check_type("resource", resource, StateVector)
+    _check_receiver(resource, bob)  # before the tuple index below, which would take -1 and True
     if resource.n != 3:
         raise WrongQubitCount(f"need exactly 3 qubits, got {resource.n}")
-    check_qubit_index(3, bob)  # before the tuple index below, which would take -1 and True
     # qubit i goes to position perm[i]: the receiver goes last, the others keep their order
     amps = permute_qubits(resource, ((2, 0, 1), (0, 2, 1), (0, 1, 2))[bob]).amps
     x, y = amps[0::2], amps[1::2]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .families import _generator
+from .families import _generator, random_state
 from .schmidt import SchmidtForm, _projection, schmidt_form
 from .statevec import StateVector, _shown, check_type, is_int, new_state
 
@@ -181,12 +181,8 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
 
 
 def haar_random_info(rng=None) -> InfoQubit:
-    """One Haar-random information qubit: two independent complex Gaussians, normalized."""
-    gen = _generator(rng)
-    # drawn as a (1, 2) row: the norm of a 1-D pair sums in another order and moves last bits
-    raw = gen.standard_normal((1, 2)) + 1j * gen.standard_normal((1, 2))
-    pair = (raw * (1.0 / np.linalg.norm(raw, axis=1, keepdims=True)))[0]
-    return InfoQubit(complex(pair[0]), complex(pair[1]))
+    """One Haar-random information qubit: the amplitudes of `random_state(1, rng)`."""
+    return InfoQubit(*random_state(1, rng).amps)
 
 
 def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -> McEstimate:

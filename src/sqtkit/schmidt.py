@@ -227,10 +227,7 @@ def concurrence_via_density(sv: StateVector, bob: int) -> float:
     the norm of y after two Gram–Schmidt passes y ← y − (q†y)·q; the second
     pass keeps R₁₁ accurate to ~1e-16 absolute as C → 0.
     """
-    check_type("resource", sv, StateVector)
-    check_qubit_index(sv.n, bob)
-    if sv.n == 1:
-        return 0.0
+    _check_receiver(sv, bob)
     rows = sv.amps.reshape(1 << bob, 2, -1)
     x = rows[:, 0].ravel()
     y = rows[:, 1].ravel()

@@ -173,13 +173,13 @@ def permute_qubits(sv: StateVector, perm) -> StateVector:
     the original array bit for bit.
     """
     check_type("sv", sv, StateVector)
-    perm = list(perm) if np.iterable(perm) else [perm]
-    if not all(map(is_int, perm)) or sorted(perm) != list(range(sv.n)):
+    entries = list(perm) if np.iterable(perm) else None
+    if entries is None or not all(map(is_int, entries)) or sorted(entries) != list(range(sv.n)):
         raise InvalidPermutation(f"{_shown(perm)} is not a permutation of 0..{sv.n - 1}")
     # transpose places input axis axes[k] at output position k, so sending
     # qubit i to position perm[i] needs the inverse permutation as axes
     axes = [0] * sv.n
-    for i, p in enumerate(perm):
+    for i, p in enumerate(entries):
         axes[p] = i
     # reshape copies the transposed view into a fresh C-ordered array
     return StateVector(sv.n, np.transpose(sv.tensor_view(), axes).reshape(-1))

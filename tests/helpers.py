@@ -13,8 +13,8 @@ either. `rotation_matrix` is U(z), `PAULI_X` the branch swap and
 `move_to_last_perm` the receiver-last permutation, each built inline where
 the package uses it (`schmidt_form`, `check_3qubit`) and kept here as its
 reference. `concurrence` is the form's concurrence read as a function,
-`haar_info_samples` the batch of the Haar draw `haar_random_info` makes one
-row of, and `exact_gram` the Gram step and `exact_mc_moments` the Monte Carlo
+`haar_info_samples` a batch of Haar qubits drawn as `random_state(1, rng)`
+draws one, and `exact_gram` the Gram step and `exact_mc_moments` the Monte Carlo
 reduction in exact rational arithmetic.
 """
 
@@ -129,9 +129,10 @@ def concurrence(sv: StateVector, bob: int) -> float:
 def haar_info_samples(count: int, rng=None) -> np.ndarray:
     """(count, 2) array of Haar-random qubit amplitude pairs.
 
-    Two independent complex Gaussians per row, normalized; `haar_random_info`
-    draws one such row, and its |amp0|² is the uniform weight that
-    `average_fidelity_mc` draws directly.
+    Two independent complex Gaussians per row, normalized, as
+    `random_state(1, rng)` (and so `haar_random_info`) draws one qubit; the
+    norms sum in another order, so last bits may differ. Its |amp0|² is the
+    uniform weight that `average_fidelity_mc` draws directly.
     """
     if not (is_int(count) and count >= 1):
         raise OutOfRange(f"count must be an integer ≥ 1, got {_shown(count)}")

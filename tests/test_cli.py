@@ -153,6 +153,15 @@ class TestTeleport:
         assert main(["teleport", path, "--info", f"{s},0,{s},0"]) == 0
         assert "0.933013" in capsys.readouterr().out
 
+    def test_seed_1_haar_draw_is_pinned(self, tmp_path, capsys):
+        # the same pin as the CI smoke step, bit for bit
+        path = str(tmp_path / "ghz.json")
+        assert main(["gen", "ghz", "3", "-o", path]) == 0
+        capsys.readouterr()
+        assert main(["teleport", path, "--haar", "--seed", "1", "--format", "json"]) == 0
+        info = json.loads(capsys.readouterr().out)["info"]
+        assert info == [[0.21424427007839494, 0.20485384406841473], [0.5093606231982167, -0.8078898754434873]]
+
     def test_haar_info_deterministic(self, w_file, capsys):
         main(["teleport", w_file, "--haar", "--seed", "5", "--format", "json"])
         first = capsys.readouterr().out
@@ -299,8 +308,15 @@ class TestGen:
 
     @pytest.mark.parametrize("count", ["3.5", "nan", "inf"])
     def test_non_integer_qubit_count_exit_two(self, count, capsys):
+        # the family itself refuses a qubit count that is not integral
         assert main(["gen", "ghz", count]) == 2
-        assert "qubit count must be an integer" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: GHZ needs an integer n ≥ 2, got {float(count)!r}"
+        ]
+
+    def test_non_integer_random_qubit_count_exit_two(self, capsys):
+        assert main(["gen", "random", "2.5"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: need an integer n ≥ 1, got 2.5"]
 
     def test_wrong_parameter_count(self, tmp_path, capsys):
         assert main(["gen", "w", "0.5", "-o", str(tmp_path / "w.json")]) == 2

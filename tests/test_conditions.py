@@ -91,6 +91,11 @@ class TestCheck3Qubit:
         with pytest.raises(WrongQubitCount):
             check_3qubit(ghz(4), 0)
 
+    def test_receiver_is_judged_before_the_qubit_count(self):
+        # the receiver gate every (resource, receiver) function shares
+        with pytest.raises(IndexOutOfRange):
+            check_3qubit(ghz(2), 2)
+
     @pytest.mark.parametrize("bob", [True, 1.0, -1, 3, np.int64(3)], ids=repr)
     def test_rejects_a_bad_receiver(self, bob):
         with pytest.raises(IndexOutOfRange):

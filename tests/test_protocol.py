@@ -380,25 +380,25 @@ class TestHaarSampling:
         norms = np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
-    def test_single_draw_matches_batch(self):
-        # haar_random_info draws its own (1, 2) row; drawn 1-D, its norm would
-        # sum in another order and give different last bits for some seeds
+    def test_single_draw_is_the_one_qubit_random_state(self):
         def bits(info):
             return np.array([info.amp0, info.amp1]).view(np.uint64).tolist()
 
-        def batch_row(rng):
-            return bits(InfoQubit(*haar_info_samples(1, rng)[0]))
+        def state_draw(rng):
+            return bits(InfoQubit(*random_state(1, rng).amps))
 
         for seed in [*range(1000), np.int64(123)]:
-            assert bits(haar_random_info(seed)) == batch_row(seed), seed
+            assert bits(haar_random_info(seed)) == state_draw(seed), seed
+        # a passed Generator advances exactly as random_state's would
         gen, ref = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(2):
-            assert bits(haar_random_info(gen)) == batch_row(ref)
+            assert bits(haar_random_info(gen)) == state_draw(ref)
+        assert gen.random() == ref.random()
 
     def test_seed_1_draw_is_pinned(self):
         info = haar_random_info(1)
-        assert info.amp0 == 0.21424427007839503 + 0.20485384406841478j
-        assert info.amp1 == 0.5093606231982168 - 0.8078898754434876j
+        assert info.amp0 == 0.21424427007839494 + 0.20485384406841473j
+        assert info.amp1 == 0.5093606231982167 - 0.8078898754434873j
 
     def test_moments(self):
         pairs = haar_info_samples(1_000_000, 0)

@@ -321,8 +321,10 @@ class TestConcurrence:
         assert concurrence(sv, n - 1) < 1e-14
 
     def test_density_route_single_qubit(self):
-        assert concurrence_via_density(new_state(1, [0.6, 0.8j]), 0) == 0.0
-        assert concurrence_via_density(basis_state(1, 1), 0) == 0.0
+        # a 1-qubit state has no split, as in every other receiver function
+        for sv in (new_state(1, [0.6, 0.8j]), basis_state(1, 1)):
+            with pytest.raises(WrongQubitCount, match="^resource must have at least 2 qubits, got 1$"):
+                concurrence_via_density(sv, 0)
 
     def test_density_route_agrees_with_brute_force(self, small_corpus):
         for sv in small_corpus[:30]:

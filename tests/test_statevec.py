@@ -268,6 +268,15 @@ class TestPermuteQubits:
         with pytest.raises(InvalidPermutation):
             permute_qubits(ghz3(), perm)
 
+    def test_rejects_a_non_iterable_on_one_qubit(self):
+        # 0 is not the permutation [0]
+        with pytest.raises(InvalidPermutation, match=r"^0 is not a permutation of 0\.\.0$"):
+            permute_qubits(new_state(1, [1, 0]), 0)
+
+    def test_refusal_names_the_callers_value(self):
+        with pytest.raises(InvalidPermutation, match=r"^5 is not a permutation of 0\.\.2$"):
+            permute_qubits(ghz3(), 5)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_argsort_transpose_for_every_permutation(self, n):
         rng = np.random.default_rng(n)
