@@ -10,6 +10,7 @@ numbers; the receiver is the last qubit unless noted.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from .statevec import StateVector, _shown, check_qubit_count, is_int, is_number,
 
 SQRT_HALF = math.sqrt(0.5)
 CONSTRAINT_SLACK = 1e-12
+# Integer seeds whose SeedSequence words `_generator` keeps (least recently used dropped first)
+KEPT_SEEDS = 256
 
 
 def ghz(n: int) -> StateVector:
@@ -146,14 +149,42 @@ def zha_counterexample(a: float, b: float, theta: float = 0.0, delta: float = 0.
                          0b101: b * cmath.exp(1j * delta), 0b111: rest * cmath.exp(1j * gamma)})
 
 
+@functools.lru_cache(maxsize=KEPT_SEEDS)
+def _seed_state(seed: int, n_words: int, dtype) -> np.ndarray:
+    """SeedSequence(seed).generate_state(n_words, dtype) as a read-only array, kept per seed."""
+    words = np.random.SeedSequence(seed).generate_state(n_words, dtype)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _kept_seed_type() -> type:
+    """The ISeedSequence that reads `_seed_state`; defined on first use, so that
+    importing sqtkit leaves numpy.random unloaded."""
+    class KeptSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, seed: int):
+            self.seed = seed
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return _seed_state(self.seed, n_words, dtype)
+
+    return KeptSeed
+
+
 def _generator(seed) -> np.random.Generator:
-    """np.random.default_rng(seed), refusing with OutOfRange a seed it cannot take or a bool."""
-    try:
-        if isinstance(seed, bool):  # numpy would take it as 0 or 1; is_int refuses it too
-            raise TypeError("a bool is not a seed")
+    """np.random.default_rng(seed), bit for bit, for the seeds sqtkit takes.
+
+    An integer seed ≥ 0 (numpy integers included, bool not) gives a fresh
+    Generator whose PCG64 is seeded from the words its SeedSequence generates,
+    kept for the KEPT_SEEDS most recently used seeds, so a repeated seed skips
+    the ~8 µs of deriving them. None draws fresh OS entropy and a Generator is
+    returned as is. Anything else raises OutOfRange.
+    """
+    if is_int(seed) and seed >= 0:
+        return np.random.Generator(np.random.PCG64(_kept_seed_type()(int(seed))))
+    if seed is None or isinstance(seed, np.random.Generator):
         return np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise OutOfRange(f"seed must be None, an integer ≥ 0 or a Generator, got {_shown(seed)}") from exc
+    raise OutOfRange(f"seed must be None, an integer ≥ 0 or a Generator, got {_shown(seed)}")
 
 
 def random_state(n: int, rng=None) -> StateVector:

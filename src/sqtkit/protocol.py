@@ -155,8 +155,10 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     states are built. The p_i depend on the resource and the receiver alone,
     so `sqtkit.schmidt` keeps them with the form in the state's memo: the
     first call on a (state, receiver) takes them and later calls read them.
-    The outcome is drawn from the exact Born weights with a seeded
-    generator, so identical arguments reproduce identical runs. The
+    The outcome is drawn from the exact Born weights with a generator that
+    is bit for bit `np.random.default_rng(seed)`, so identical arguments
+    reproduce identical runs; an integer seed's SeedSequence words are kept,
+    so a repeated seed does not derive them again. The
     collapsed qubit and its correction are complex scalars until the result
     is built; the correction is unitary by construction and is applied
     without re-checking it.

@@ -22,6 +22,7 @@ from sqtkit import (
     w_general,
     zha_counterexample,
 )
+from sqtkit.families import KEPT_SEEDS, _generator, _seed_state
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -228,6 +229,37 @@ class TestRandomState:
         reference = random_state(3, 7).amps
         for seed in (np.int64(7), np.random.default_rng(7)):
             np.testing.assert_array_equal(random_state(3, seed).amps, reference)
+
+
+class TestKeptSeeds:
+    """`_generator` seeds PCG64 from the kept SeedSequence words of an integer seed."""
+
+    def test_state_and_draws_are_default_rngs(self):
+        # more distinct seeds than are kept, each twice, so entries are evicted and hit
+        seeds = [*range(KEPT_SEEDS + 44), np.int64(7), np.uint64(2**64 - 1), 2**100, 10**30]
+        for seed in seeds + seeds[::-1]:
+            gen, ref = _generator(seed), np.random.default_rng(seed)
+            assert gen.bit_generator.state == ref.bit_generator.state, seed
+            np.testing.assert_array_equal(gen.random(50), ref.random(50))
+            np.testing.assert_array_equal(gen.standard_normal(20), ref.standard_normal(20))
+        info = _seed_state.cache_info()
+        assert info.maxsize == KEPT_SEEDS and info.currsize <= info.maxsize
+
+    def test_generators_of_one_seed_are_independent(self):
+        first, second = _generator(5), _generator(5)
+        first.random(10)
+        assert second.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    @pytest.mark.parametrize("seed", [1.0, np.float64(1.0), True], ids=repr)
+    def test_an_equal_non_integer_is_refused_after_the_integer_is_kept(self, seed):
+        _generator(1)  # 1.0 and True hash and compare like 1
+        with pytest.raises(OutOfRange, match="seed"):
+            _generator(seed)
+
+    def test_none_is_fresh_entropy_and_a_generator_is_returned(self):
+        assert _generator(None).random() != _generator(None).random()
+        gen = np.random.default_rng(3)
+        assert _generator(gen) is gen
 
 
 def test_every_constructor_is_exactly_normalized():

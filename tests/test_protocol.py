@@ -358,7 +358,13 @@ SEEDED_CALLS = {
 }
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "x", True, False], ids=repr)
+# numpy would also take an int sequence, a SeedSequence or a bare BitGenerator
+BAD_SEEDS = [-1, 1.5, "x", True, False, [True], [1, 2], (),
+             pytest.param(np.random.SeedSequence(3), id="SeedSequence(3)"),
+             pytest.param(np.random.PCG64(3), id="PCG64(3)")]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
 @pytest.mark.parametrize("name", SEEDED_CALLS)
 def test_bad_seed_is_refused(name, seed):
     with pytest.raises(OutOfRange, match="seed"):
@@ -370,7 +376,7 @@ def test_seed_forms_give_the_same_draws(name):
     call = SEEDED_CALLS[name]
     call(None)
     reference = call(7)
-    for seed in (np.int64(7), np.random.default_rng(7)):
+    for seed in (np.int64(7), np.uint64(7), np.random.default_rng(7)):
         np.testing.assert_array_equal(call(seed), reference)
 
 
