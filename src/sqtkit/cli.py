@@ -203,7 +203,7 @@ FAMILIES = {
 
 
 def _build_family(args) -> tuple[StateVector, str]:
-    """The state and label of `gen`: parameters in order, then the flags the family reads."""
+    """The state and label of `gen`: parameters in order, then each flag the family reads as name=value."""
     family = args.family
     builder, names, reads = FAMILIES[family]
     if len(args.params) != len(names):
@@ -214,9 +214,9 @@ def _build_family(args) -> tuple[StateVector, str]:
     if unread:
         raise ConstraintViolated(f"family '{family}' does not read {', '.join(unread)}")
     values = [int(p) if name == "n" and p.is_integer() else p for name, p in zip(names, args.params)]
-    flags = [given.get(flag, 0) for flag in reads]
-    label = f"{family}({', '.join(map(repr, values))})"
-    return getattr(families, builder)(*values, *flags), label
+    flags = {flag: given.get(flag, 0) for flag in reads}
+    label = f"{family}({', '.join([*map(repr, values), *(f'{f}={v!r}' for f, v in flags.items())])})"
+    return getattr(families, builder)(*values, *flags.values()), label
 
 
 def cmd_gen(args) -> int:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConstraintViolated, OutOfRange
-from .statevec import StateVector, _shown, check_qubit_count, is_int, is_number, is_real, new_state
+from .statevec import StateVector, _norm, _shown, check_qubit_count, is_int, is_number, is_real, new_state
 
 SQRT_HALF = math.sqrt(0.5)
 CONSTRAINT_SLACK = 1e-12
@@ -194,4 +194,4 @@ def random_state(n: int, rng=None) -> StateVector:
     check_qubit_count(n)
     gen = _generator(rng)
     raw = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
-    return StateVector(n, raw * (1.0 / np.linalg.norm(raw)))
+    return StateVector(n, raw * (1.0 / _norm(raw)))

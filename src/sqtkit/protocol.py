@@ -152,9 +152,10 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     b_j with information |0⟩, |1⟩, so with the four inner products
     p_i = (1/√2)·(⟨b_i|x⟩, ⟨b_i|y⟩) outcome r projects the joint state to
     amp0·p_i ± amp1·p_j; neither the (n+1)-qubit joint vector nor the basis
-    states are built. The p_i depend on the resource and the receiver alone,
-    so `sqtkit.schmidt` keeps them with the form in the state's memo: the
-    first call on a (state, receiver) takes them and later calls read them.
+    states are built. The p_i depend on the resource and the receiver alone:
+    one call, `schmidt._projection`, returns the form and the p_i, which
+    `sqtkit.schmidt` keeps with the form in the state's memo, so the first
+    call on a (state, receiver) takes them and later calls read them.
     The outcome is drawn from the exact Born weights with a generator that
     is bit for bit `np.random.default_rng(seed)`, so identical arguments
     reproduce identical runs; an integer seed's SeedSequence words are kept,
@@ -164,8 +165,7 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
     without re-checking it.
     """
     check_type("info", info, InfoQubit)
-    form = schmidt_form(resource, bob)
-    p = _projection(resource, bob)
+    form, p = _projection(resource, bob)
     a0, a1 = info.amp0, info.amp1
     proj = [[a0 * u + a1 * v if sign > 0 else a0 * u - a1 * v for u, v in zip(p[i], p[j])]
             for i, j, sign in _OUTCOMES]

@@ -43,8 +43,9 @@ the split keeps no branches. The form and its Gram triple are kept as one
 record per receiver in the state's memo, so repeated calls on one state
 return the same objects; a split read before any form recomputes its Gram
 step and stores nothing. The record's third slot is left empty by
-schmidt_form and filled by _projection, which `sqtkit.protocol.run_teleport`
-calls; this module is the only one that reads or writes the record.
+schmidt_form and filled by _projection, which returns the form with it and is
+`sqtkit.protocol.run_teleport`'s one call into this module; this module is
+the only one that reads or writes the record.
 `concurrence_via_density` is an independent route to C through a QR
 factorization of the two-column amplitude matrix, done in closed form with
 two Gram–Schmidt passes; it reads no memo.
@@ -156,7 +157,7 @@ def _orthogonal_filler(present: np.ndarray) -> np.ndarray:
     j = int(np.argmin(np.abs(present)))
     v = -present * np.conj(present[j])
     v[j] += 1.0
-    return v * (1.0 / np.linalg.norm(v))
+    return v * (1.0 / _norm(v))
 
 
 def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
@@ -201,18 +202,19 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     return form
 
 
-def _projection(sv: StateVector, bob: int) -> tuple:
-    """run_teleport's inner products p_i = √½·(⟨b_i|x⟩, ⟨b_i|y⟩) of the branches
-    b_i with the receiver rows x, y, taken once and kept in the memo record's
-    third slot. Precondition: schmidt_form(sv, bob) has already run."""
-    gram, form, p = sv._memo[bob]
+def _projection(sv: StateVector, bob: int) -> tuple[SchmidtForm, tuple]:
+    """schmidt_form(sv, bob) and run_teleport's inner products
+    p_i = √½·(⟨b_i|x⟩, ⟨b_i|y⟩) of its branches b_i with the receiver rows x, y,
+    taken once and kept in the memo record's third slot."""
+    form = schmidt_form(sv, bob)
+    gram, _, p = sv._memo[bob]
     if p is None:
         rows = _receiver_blocks(sv, bob)
         x, y = rows[0], rows[1]
         p = tuple((SQRT_HALF * complex(np.vdot(b, x)), SQRT_HALF * complex(np.vdot(b, y)))
                   for b in (form.branch0, form.branch1))
         sv._memo[bob] = (gram, form, p)
-    return p
+    return form, p
 
 
 def concurrence_via_density(sv: StateVector, bob: int) -> float:

@@ -15,12 +15,9 @@ are pure, and every stored amplitude array is read-only.
 
 Because the amplitudes never change, a `StateVector` also carries a private
 memo with one record per analysed receiver qubit, so each entry is computed
-once per object. Only `sqtkit.schmidt` reads or writes it: `schmidt_form`
-stores the Gram triple and the Schmidt form with an empty third slot, and
-`_projection`, on the first `sqtkit.protocol.run_teleport` call, fills that
-slot with the four projection inner products.
-Every function here that returns a `StateVector` returns a new object, whose
-memo starts empty.
+once per object. Only `sqtkit.schmidt` reads or writes it, and only that
+module knows what a record holds. Every function here that returns a
+`StateVector` returns a new object, whose memo starts empty.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ class StateVector:
 
     n: int
     amps: np.ndarray
-    # receiver qubit -> (Gram triple, SchmidtForm, run_teleport's projection or None) of amps
+    # receiver qubit -> the record sqtkit.schmidt keeps for it (see that module)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     # the norm the constructor's gate judged, which new_state renormalizes by
     _checked_norm: float = field(init=False, repr=False)

@@ -15,7 +15,8 @@ the package uses it (`schmidt_form`, `check_3qubit`) and kept here as its
 reference. `concurrence` is the form's concurrence read as a function,
 `haar_info_samples` a batch of Haar qubits drawn as `random_state(1, rng)`
 draws one, and `exact_gram` the Gram step and `exact_mc_moments` the Monte Carlo
-reduction in exact rational arithmetic.
+reduction in exact rational arithmetic. `haar_s_cdf` and `haar_s_moment` are the
+exact law of s = 1 − C² for a Haar-random state, the referee of `random_state`.
 """
 
 import math
@@ -162,6 +163,28 @@ def exact_mc_moments(form: SchmidtForm, p: np.ndarray) -> tuple[Fraction, Fracti
     values = [s - k * w * (1 - w) for w in map(Fraction, p.tolist())]
     mean = sum(values) / len(values)
     return mean, sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+
+
+def haar_s_cdf(n: int, s: np.ndarray) -> np.ndarray:
+    """CDF of s = 1 − C², C the concurrence between one qubit and the other
+    n − 1 of a Haar-random n-qubit state: Beta(3/2, N − 1), N = 2^(n−1)
+    (Lubkin, J. Math. Phys. 19, 1028 (1978); Życzkowski & Sommers, J. Phys. A
+    34, 7111 (2001)). Its density ∝ s^(1/2)·(1 − s)^(N−2) becomes the smooth
+    2t²·(1 − t²)^(N−2) under s = t², integrated by the trapezoid rule."""
+    check_qubit_count(n)
+    if n < 2:
+        raise OutOfRange(f"the law needs n ≥ 2, got {n}")
+    t = np.linspace(0.0, 1.0, 200_001)
+    density = 2.0 * t * t * (1.0 - t * t) ** ((1 << (n - 1)) - 2)
+    cdf = np.concatenate(([0.0], np.cumsum(density[1:] + density[:-1])))
+    return np.interp(np.sqrt(s), t, cdf / cdf[-1])
+
+
+def haar_s_moment(n: int, k: int) -> Fraction:
+    """E[s^k] of the law of `haar_s_cdf`, exactly: Π_{j<k} (3 + 2j)/(2N + 1 + 2j),
+    so E[s] = 3/(2N + 1) and E[s²] = 15/((2N + 1)(2N + 3))."""
+    big_n = 1 << (n - 1)
+    return math.prod((Fraction(3 + 2 * j, 2 * big_n + 1 + 2 * j) for j in range(k)), start=Fraction(1))
 
 
 def apply_one_qubit(sv: StateVector, q: int, op) -> StateVector:

@@ -263,9 +263,21 @@ class TestGen:
         given = reads if with_flags else {}
         argv = ["gen", family, *map(repr, params), *(f"--{flag}={v!r}" for flag, v in given.items())]
         assert main(argv) == 0
-        sv = build(*params, *(given.get(flag, 0) for flag in reads))  # an absent flag stands for 0
-        label = f"{family}({', '.join(map(repr, params))})"
+        flags = {flag: given.get(flag, 0) for flag in reads}  # an absent flag stands for 0
+        sv = build(*params, *flags.values())
+        label = f"{family}({', '.join([*map(repr, params), *(f'{f}={v!r}' for f, v in flags.items())])})"
         assert capsys.readouterr().out == json.dumps(document_dict(sv, sv.n - 1, label)) + "\n"
+
+    @pytest.mark.parametrize("argv, label", [
+        (["random", "2", "--seed", "9"], "random(2, seed=9)"),
+        (["random", "2", "--seed", "1"], "random(2, seed=1)"),
+        (["random", "2"], "random(2, seed=0)"),
+        (["acin", "0.5", "0", "0.3", "0.4", "0.7071067811865476", "--theta", "0.5"],
+         "acin(0.5, 0.0, 0.3, 0.4, 0.7071067811865476, theta=0.5)"),
+    ], ids=["seed-9", "seed-1", "no-seed", "acin-theta"])
+    def test_label_names_the_flags_that_built_the_state(self, argv, label, capsys):
+        assert main(["gen", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == label
 
     def test_ghz_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "g.json"

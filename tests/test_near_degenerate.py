@@ -13,6 +13,7 @@ from helpers import reconstruct_form
 from sqtkit import (
     InfoQubit,
     concurrence_via_density,
+    ghz,
     new_state,
     outcome_table,
     random_state,
@@ -95,3 +96,29 @@ def test_product_sweep_at_the_tolerance(n):
             for s in range(2):
                 record = run_teleport(INFO, sv, n - 1, seed=s).record
                 assert abs(record.prob - table[record.outcome].prob) <= 1e-9, (seed, w)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_ghz_with_a_small_gaussian_kick(n):
+    # the C → 1 edge: GHZ(n) + ε·g renormalized, g a complex Gaussian, so both
+    # coefficients sit within ~ε of √½ and the rotation is a near-tie
+    for k in range(3):
+        gen = np.random.default_rng(1000 * n + k)
+        g = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
+            raw = ghz(n).amps + eps * g
+            sv = new_state(n, raw / np.linalg.norm(raw))
+            for bob in sorted({0, n // 2, n - 1}):
+                case = (k, eps, bob)
+                form = schmidt_form(sv, bob)
+                b0, b1 = form.branch0, form.branch1
+                assert np.max(np.abs(reconstruct_form(form, n, bob) - sv.amps)) <= 1e-13, case
+                assert abs(np.vdot(b0, b1)) <= 1e-13, case
+                assert max(abs(np.linalg.norm(b) - 1.0) for b in (b0, b1)) <= 1e-13, case
+                assert abs(form.concurrence - concurrence_via_density(sv, bob)) <= 1e-13, case
+                table = outcome_table(INFO, form)
+                for seed in range(2):
+                    record = run_teleport(INFO, sv, bob, seed=seed).record
+                    want = table[record.outcome]
+                    assert abs(record.prob - want.prob) <= 1e-12, case
+                    assert abs(record.fidelity - want.fidelity) <= 1e-12, case

@@ -427,7 +427,7 @@ class TestHaarSampling:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mc_weights_are_distributed_as_haar_weights(self, seed):
         # the estimator's p (np.random.default_rng(seed).random, pinned by
-        # TestMonteCarloChunks) against |amp0|² of the Gaussian Haar sampler:
+        # TestMonteCarloDraw) against |amp0|² of the Gaussian Haar sampler:
         # a two-sample Kolmogorov–Smirnov test at significance 1e-3
         count = 20_000
         mc = np.random.default_rng(seed).random(count)
@@ -573,8 +573,8 @@ def _summed_fidelities(p, form):
     return (cb + p * (ca - cb)) ** 2 + (ca - p * (ca - cb)) ** 2
 
 
-class TestMonteCarloChunks:
-    def test_single_chunk_is_the_plain_reduction(self):
+class TestMonteCarloDraw:
+    def test_one_draw_is_the_plain_reduction(self):
         # each sample is (S − k/4) + k·h with h = (p − ½)², S = Ā² + B̄², k = 2(Ā − B̄)²
         sv = random_state(3, 11)
         form = schmidt_form(sv, 1)
@@ -585,7 +585,7 @@ class TestMonteCarloChunks:
         assert est.mean == (s - k / 4) + k * float(h.mean())
         assert est.stderr == k * float(h.std(ddof=1)) / math.sqrt(1000)
 
-    def test_chunks_merge_to_the_concatenated_draws(self):
+    def test_an_odd_count_is_one_draw(self):
         # one call is one draw of `samples` doubles, at any count up to the cap
         sv = random_state(4, 12)
         p = np.random.default_rng(5).random(3517)
@@ -595,7 +595,7 @@ class TestMonteCarloChunks:
         assert est.mean == pytest.approx(values.mean(), rel=1e-14)
         assert est.stderr == pytest.approx(values.std(ddof=1) / math.sqrt(3517), rel=1e-12)
 
-    def test_a_full_chunk_peaks_at_one_float_array(self):
+    def test_a_full_draw_peaks_at_one_float_array(self):
         # the draws are reduced in place: one float64 array of MC_MAX_SAMPLES values
         sv = random_state(3, 13)
         schmidt_form(sv, 2)

@@ -75,7 +75,7 @@ def old_branches(sv: StateVector, bob: int):
     j = int(np.argmin(np.abs(b0)))
     v = -b0 * np.conj(b0[j])
     v[j] += 1.0
-    return b0, v / np.linalg.norm(v)
+    return b0, v / _norm(v)
 
 
 def old_concurrence_via_density(sv: StateVector, bob: int) -> float:
@@ -133,7 +133,7 @@ def test_new_state_with_signed_zeros_and_subnormals(n):
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_random_state_against_its_gaussian_draws(n, seed):
     raw = gaussian(n, seed)
-    assert_same_bits(random_state(n, seed).amps, raw / np.linalg.norm(raw))
+    assert_same_bits(random_state(n, seed).amps, raw / _norm(raw))
 
 
 @pytest.mark.parametrize("count", [1, 2, 1000])
