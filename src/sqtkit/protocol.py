@@ -1,13 +1,13 @@
 """End-to-end simulation of teleporting one qubit over an n-qubit resource.
 
-The sender measures the information qubit together with her n − 1 resource
-qubits in a four-element orthonormal basis built from the resource's Schmidt
-branches, sends the 2-bit outcome, and the receiver applies the matching
-correction (U† first, then σz and/or σx). The closed-form outcome table and
-the explicit projection simulation are implemented separately so each can be
-checked against the other, and a seeded Monte Carlo estimator averages the
-fidelity over Haar-random information qubits. The resource's form and
-projection come from `sqtkit.schmidt`, which alone keeps the state's memo.
+The sender measures the information qubit and the n − 1 sender resource
+qubits in a basis built from the resource's Schmidt branches; the receiver
+applies the correction of the 2-bit outcome (U†, then σz and/or σx). This
+module owns that measurement: `_OUTCOMES` pairs and signs the basis states,
+and the √½, corrections and labels follow from it; `sqtkit.schmidt`, which
+alone keeps the state's memo, gives the form and branch coordinates. The
+closed-form outcome table and the explicit projection check each other, and
+a seeded Monte Carlo estimator averages over Haar-random information qubits.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .families import _generator, random_state
 from .schmidt import SchmidtForm, _projection, schmidt_form
 from .statevec import StateVector, _shown, check_type, is_int, new_state
 
-CORRECTION_LABELS = ("U†", "σzU†", "σxU†", "σxσzU†")
 # Outcome r's (branch paired with information |0⟩, branch paired with |1⟩, sign)
 _OUTCOMES = ((0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1))
+CORRECTION_LABELS = tuple("σx" * i + "σz" * (sign < 0) + "U†" for i, _, sign in _OUTCOMES)
 # Largest sample count average_fidelity_mc accepts, drawn as one array that it
 # reduces in place (a tracemalloc peak of 8.4 MB, 8 MiB, at the cap); larger
 # requests are refused before any draw. At the cap the stderr is ≤ 1.5e-4.
@@ -133,12 +133,14 @@ def outcome_table(info: InfoQubit, form: SchmidtForm) -> list[OutcomeRecord]:
     ]
 
 
-def _draw_outcome(probs: list[float], rng: np.random.Generator) -> int:
-    """Sample an index from unnormalized Born weights by cumulative inversion."""
-    edges = list(itertools.accumulate(probs))
+def _draw_outcome(weights: list[float], rng: np.random.Generator) -> int:
+    """Sample an index from unnormalized Born weights by cumulative inversion.
+    u = random() ≤ 1 − 2⁻⁵³ puts the rounded T·u below a normal total T, so some
+    edge lies above it; an index of zero weight repeats the edge before it, so
+    it is never the first edge above T·u and is never drawn."""
+    edges = list(itertools.accumulate(weights))
     # the same double and generator step as rng.uniform(0.0, edges[-1]), without its checks
-    r = bisect.bisect_right(edges, edges[-1] * rng.random())
-    return min(r, len(edges) - 1)
+    return bisect.bisect_right(edges, edges[-1] * rng.random())
 
 
 def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> TeleportResult:
@@ -147,39 +149,38 @@ def run_teleport(info: InfoQubit, resource: StateVector, bob: int, seed=0) -> Te
 
     The joint state (info qubit first, receiver last) has the receiver rows
     amp0·(x, y) and amp1·(x, y), x and y being the resource's receiver-|0⟩
-    and receiver-|1⟩ rows. The four sender basis states
-    (|0⟩|b_i⟩ ± |1⟩|b_j⟩)/√2, (i, j) = (0, 1) or (1, 0), pair branches b_i,
-    b_j with information |0⟩, |1⟩, so with the four inner products
-    p_i = (1/√2)·(⟨b_i|x⟩, ⟨b_i|y⟩) outcome r projects the joint state to
-    amp0·p_i ± amp1·p_j; neither the (n+1)-qubit joint vector nor the basis
-    states are built. The p_i depend on the resource and the receiver alone:
-    one call, `schmidt._projection`, returns the form and the p_i, which
-    `sqtkit.schmidt` keeps with the form in the state's memo, so the first
-    call on a (state, receiver) takes them and later calls read them.
-    The outcome is drawn from the exact Born weights with a generator that
-    is bit for bit `np.random.default_rng(seed)`, so identical arguments
-    reproduce identical runs; an integer seed's SeedSequence words are kept,
-    so a repeated seed does not derive them again. The
-    collapsed qubit and its correction are complex scalars until the result
-    is built; the correction is unitary by construction and is applied
+    and receiver-|1⟩ rows. The sender basis states (|0⟩|b_i⟩ ± |1⟩|b_j⟩)/√2
+    of `_OUTCOMES` pair branches b_i, b_j with information |0⟩, |1⟩, so with
+    the branch coordinates q_i = (⟨b_i|x⟩, ⟨b_i|y⟩) outcome r projects the
+    joint state to (amp0·q_i ± amp1·q_j)/√2: it is drawn from the weights
+    w_r = |amp0·q_i ± amp1·q_j|², its collapsed qubit is normalized by √w_r,
+    and P(r) = ½·w_r takes the exact ½ that outcome_table applies. Neither
+    the (n+1)-qubit joint vector nor the basis states are built.
+    `schmidt._projection` returns the form and the q_i, which depend on the
+    resource and the receiver alone and are kept in the state's memo, so only
+    the first call on a (state, receiver) takes them. The generator is bit
+    for bit `np.random.default_rng(seed)`, so identical arguments reproduce
+    identical runs; an integer seed's SeedSequence words are kept, so a
+    repeated seed does not derive them again. The collapsed and corrected
+    qubits are complex scalars until they become the rows of one read-only
+    (2, 2) array; the correction is unitary by construction and is applied
     without re-checking it.
     """
     check_type("info", info, InfoQubit)
-    form, p = _projection(resource, bob)
+    form, q = _projection(resource, bob)
     a0, a1 = info.amp0, info.amp1
-    proj = [[a0 * u + a1 * v if sign > 0 else a0 * u - a1 * v for u, v in zip(p[i], p[j])]
+    proj = [[a0 * u + a1 * v if sign > 0 else a0 * u - a1 * v for u, v in zip(q[i], q[j])]
             for i, j, sign in _OUTCOMES]
-    probs = [abs(u) ** 2 + abs(v) ** 2 for u, v in proj]
-    rng = _generator(seed)
-    r = _draw_outcome(probs, rng)
-    scale = math.sqrt(probs[r])
+    weights = [abs(u) ** 2 + abs(v) ** 2 for u, v in proj]
+    r = _draw_outcome(weights, _generator(seed))
+    scale = math.sqrt(weights[r])
     c0, c1 = proj[r][0] / scale, proj[r][1] / scale
     f0, f1 = _correct(r, form.receiver_basis.tolist(), c0, c1)
-    collapsed, final = np.array((c0, c1)), np.array((f0, f1))
-    collapsed.flags.writeable = final.flags.writeable = False
+    qubits = np.array(((c0, c1), (f0, f1)))
+    qubits.flags.writeable = False  # the rows handed out are read-only views of it
     fidelity = abs(a0.conjugate() * f0 + a1.conjugate() * f1) ** 2
-    record = OutcomeRecord(r, probs[r], collapsed, CORRECTION_LABELS[r], fidelity)
-    return TeleportResult(record, final)
+    record = OutcomeRecord(r, 0.5 * weights[r], qubits[0], CORRECTION_LABELS[r], fidelity)
+    return TeleportResult(record, qubits[1])
 
 
 def haar_random_info(rng=None) -> InfoQubit:

@@ -43,9 +43,10 @@ the split keeps no branches. The form and its Gram triple are kept as one
 record per receiver in the state's memo, so repeated calls on one state
 return the same objects; a split read before any form recomputes its Gram
 step and stores nothing. The record's third slot is left empty by
-schmidt_form and filled by _projection, which returns the form with it and is
-`sqtkit.protocol.run_teleport`'s one call into this module; this module is
-the only one that reads or writes the record.
+schmidt_form and filled by _projection with the branch coordinates of the
+receiver rows; it returns the form with them and is `run_teleport`'s one call
+into this module, which reads or writes the record alone. The sender's
+measurement built on the branches, its √½ and its labels, is `sqtkit.protocol`'s.
 `concurrence_via_density` is an independent route to C through a QR
 factorization of the two-column amplitude matrix, done in closed form with
 two Gram–Schmidt passes; it reads no memo.
@@ -59,7 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, WrongQubitCount
-from .families import SQRT_HALF
 from .statevec import StateVector, _norm, _shown, check_qubit_index, check_type, is_real
 
 # Branch weight below this counts as an absent branch; block overlap below it
@@ -203,18 +203,17 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
 
 
 def _projection(sv: StateVector, bob: int) -> tuple[SchmidtForm, tuple]:
-    """schmidt_form(sv, bob) and run_teleport's inner products
-    p_i = √½·(⟨b_i|x⟩, ⟨b_i|y⟩) of its branches b_i with the receiver rows x, y,
-    taken once and kept in the memo record's third slot."""
+    """schmidt_form(sv, bob) and the branch coordinates q_i = (⟨b_i|x⟩, ⟨b_i|y⟩)
+    of the receiver rows x, y on its branches b_i, taken once and kept in the
+    memo record's third slot."""
     form = schmidt_form(sv, bob)
-    gram, _, p = sv._memo[bob]
-    if p is None:
+    gram, _, q = sv._memo[bob]
+    if q is None:
         rows = _receiver_blocks(sv, bob)
         x, y = rows[0], rows[1]
-        p = tuple((SQRT_HALF * complex(np.vdot(b, x)), SQRT_HALF * complex(np.vdot(b, y)))
-                  for b in (form.branch0, form.branch1))
-        sv._memo[bob] = (gram, form, p)
-    return form, p
+        q = tuple((complex(np.vdot(b, x)), complex(np.vdot(b, y))) for b in (form.branch0, form.branch1))
+        sv._memo[bob] = (gram, form, q)
+    return form, q
 
 
 def concurrence_via_density(sv: StateVector, bob: int) -> float:

@@ -9,14 +9,18 @@ paper's own constructions, which the engine replaces by the closed-form top
 root and four inner products with the branches; they are kept here as referees.
 `correction_matrix` is the matrix image of the package's scalar correction,
 and `PAULI_Z` the gate the statevec tests apply; nothing in the package reads
-either. `rotation_matrix` is U(z), `PAULI_X` the branch swap and
-`move_to_last_perm` the receiver-last permutation, each built inline where
-the package uses it (`schmidt_form`, `check_3qubit`) and kept here as its
-reference. `concurrence` is the form's concurrence read as a function,
-`haar_info_samples` a batch of Haar qubits drawn as `random_state(1, rng)`
-draws one, and `exact_gram` the Gram step and `exact_mc_moments` the Monte Carlo
-reduction in exact rational arithmetic. `haar_s_cdf` and `haar_s_moment` are the
-exact law of s = 1 − C² for a Haar-random state, the referee of `random_state`.
+either. `kraus_operators` builds the explicit protocol's four Kraus
+operators from the joint state, those basis states and those corrections: it
+reads neither the kept branch coordinates nor `run_teleport`, but it does
+read the package's `_OUTCOMES` and `_correct`. `rotation_matrix` is U(z),
+`PAULI_X` the branch swap and `move_to_last_perm` the receiver-last
+permutation, each built inline where the package uses it (`schmidt_form`,
+`check_3qubit`) and kept here as its reference. `concurrence` is the form's
+concurrence read as a function, `haar_info_samples` a batch of Haar qubits
+drawn as `random_state(1, rng)` draws one, and `exact_gram` the Gram step
+and `exact_mc_moments` the Monte Carlo reduction in exact rational
+arithmetic. `haar_s_cdf` and `haar_s_moment` are the exact law of s = 1 − C²
+for a Haar-random state, the referee of `random_state`.
 """
 
 import math
@@ -120,6 +124,19 @@ def correction_matrix(outcome: int, receiver_basis: np.ndarray) -> np.ndarray:
         raise OutOfRange(f"outcome must be an integer in 0..3, got {_shown(outcome)}")
     u = receiver_basis.tolist()
     return np.array([_correct(outcome, u, 1.0, 0.0), _correct(outcome, u, 0.0, 1.0)], dtype=complex).T
+
+
+def kraus_operators(sv: StateVector, bob: int) -> np.ndarray:
+    """(4, 2, 2) array of the explicit protocol's Kraus operators K_r: column a
+    of K_r is the information qubit |a⟩ ⊗ resource (receiver moved last)
+    projected on measurement_basis(form)[r], then corrected by
+    correction_matrix(r, U), so K_r·(amp0, amp1) is outcome r's corrected,
+    unnormalized receiver qubit."""
+    form = schmidt_form(sv, bob)
+    rest_then_bob = permute_qubits(sv, move_to_last_perm(sv.n, bob)).amps
+    joints = [np.kron(a, rest_then_bob).reshape(-1, 2) for a in np.eye(2)]
+    return np.array([correction_matrix(r, form.receiver_basis) @ np.array([state.conj() @ j for j in joints]).T
+                     for r, state in enumerate(measurement_basis(form))])
 
 
 def concurrence(sv: StateVector, bob: int) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,45 @@ def test_correction_matrix_takes_numpy_outcomes():
     basis = schmidt_form(standard_w(), 2).receiver_basis
     for r in range(4):
         np.testing.assert_array_equal(correction_matrix(np.int64(r), basis), correction_matrix(r, basis))
+
+
+def test_correction_labels_name_their_matrices():
+    # each label's words σx, σz and U†, read left to right as a matrix product
+    rng = np.random.default_rng(23)
+    words = {"σx": np.array([[0, 1], [1, 0]]), "σz": np.diag([1, -1])}
+    for _ in range(20):
+        q, tri = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        u = q * (np.diag(tri) / abs(np.diag(tri)))  # the phase fix that makes q Haar
+        for r, label in enumerate(CORRECTION_LABELS):
+            spelled = re.findall("σx|σz|U†", label)
+            assert "".join(spelled) == label
+            want = np.eye(2)
+            for word in spelled:
+                want = want @ (u.conj().T if word == "U†" else words[word])
+            np.testing.assert_allclose(correction_matrix(r, u), want, rtol=0, atol=1e-15)
+
+
+class _Uniforms:
+    """Stands in for a Generator whose random() returns the given doubles in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.0, 0.3, 0.0, 0.7], [0.5, 1.5, 0.0, 0.0], [0.2, 0.0, 0.0, 1.8], [0.0, 0.0, 0.0, 2.0],
+    [2.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.0, 0.3], [1e-300, 0.0, 3e-300, 0.0],
+], ids=repr)
+def test_draw_at_the_edges_of_the_uniform(weights):
+    # random() returns 0.0 at least and 1 − 2⁻⁵³ at most: the first and the
+    # last outcome of nonzero weight, never a zero-weight one or index 4
+    present = [r for r, w in enumerate(weights) if w > 0.0]
+    uniforms = _Uniforms(1.0 - 2.0**-53, 0.0)
+    assert protocol._draw_outcome(weights, uniforms) == present[-1]
+    assert protocol._draw_outcome(weights, uniforms) == present[0]
 
 
 class TestRunTeleport:

@@ -353,6 +353,18 @@ class TestConcurrence:
         form = schmidt_form(sv, 2)
         assert abs(np.vdot(form.branch1, form.branch0)) < 1e-10
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_residual_identity(self, n):
+        # C² = (1 − bal²)(1 − |K|²) with bal = A² − B², so 1 − C is second
+        # order in the two residuals that check_general judges
+        for sv in [random_state(n, 700 + 10 * n + k) for k in range(3)] + [ghz(n)]:
+            for bob in range(n):
+                split = split_by_receiver(sv, bob)
+                bal = split.weight0**2 - split.weight1**2
+                want = (1.0 - bal * bal) * (1.0 - abs(split.overlap) ** 2)
+                for route in (concurrence, concurrence_via_density):
+                    assert abs(route(sv, bob) ** 2 - want) <= 1e-13, (route.__name__, bob)
+
 
 def qr_concurrence(sv, bob):
     """2·|R₀₀·R₁₁| from numpy's QR of the two-column amplitude matrix mᵀ."""
@@ -568,7 +580,7 @@ class TestMemo:
             schmidt_form(sv, bob)
         poison = object()
         for key in sv._memo:
-            sv._memo[key] = (poison, poison)
+            sv._memo[key] = (poison, poison, poison)
         assert schmidt_form(sv, 0) is poison  # the memo is read where it should be
         for bob in range(3):
             got = check_3qubit(sv, bob)
