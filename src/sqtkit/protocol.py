@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import OutOfRange
 from .families import _generator, random_state
-from .schmidt import SchmidtForm, _projection, schmidt_form
+from .schmidt import SchmidtForm, _clamp_unit, _projection, schmidt_form
 from .statevec import StateVector, _shown, check_type, is_int, new_state
 
 # Outcome r's (branch paired with information |0⟩, branch paired with |1⟩, sign)
@@ -200,7 +200,8 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
     sample draws p as one ``random()`` double and the sum is the parabola
     (1 + C)/2 + (1 − C)·z²/2 when Ā² + B̄² = 1. Only h = (p − ½)² is averaged,
     in place in the drawn array (p − ½ is exact for every double ``random()``
-    returns), and its mean and spread are mapped back through k.
+    returns), and its mean and spread are mapped back through k; the mean is
+    clamped to ≤ 1 by the form's clamp.
     """
     if not (is_int(samples) and 2 <= samples <= MC_MAX_SAMPLES):
         raise OutOfRange(f"samples must be an integer in 2..{MC_MAX_SAMPLES}, got {_shown(samples)}")
@@ -215,4 +216,4 @@ def average_fidelity_mc(resource: StateVector, bob: int, samples: int, seed=0) -
     h -= mean
     h *= h
     stderr = k * math.sqrt(float(h.sum()) / (samples - 1)) / math.sqrt(samples)
-    return McEstimate((ca * ca + cb * cb - 0.25 * k) + k * mean, stderr, samples)
+    return McEstimate(_clamp_unit((ca * ca + cb * cb - 0.25 * k) + k * mean), stderr, samples)

@@ -71,6 +71,12 @@ OVERLAP_TOL = 1e-14
 CONCURRENCE_SLACK = 1e-12
 
 
+def _clamp_unit(x: float) -> float:
+    """x clamped to [0, 1], NaN and any x inside kept bit for bit: the one clamp of
+    the form's C, maf and the Monte Carlo mean, which rounding lifts to 1 + 2⁻⁵² on GHZ."""
+    return min(max(x, 0.0), 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class BipartiteSplit:
     """Weights and overlap of the receiver-qubit split A·|ψ0⟩|0⟩ + B·|ψ1⟩|1⟩.
@@ -90,11 +96,11 @@ class SchmidtForm:
     """Orthogonal decomposition coeff0·|branch0⟩|0̄⟩ + coeff1·|branch1⟩|1̄⟩.
 
     coeff0 ≥ coeff1 ≥ 0, the branches are orthonormal read-only arrays of
-    length 2**(n−1), concurrence equals 2·coeff0·coeff1, and receiver_basis
-    is the 2×2 unitary whose columns are |0̄⟩ and |1̄⟩. Splits that need the
-    branch order swapped (z = 0 with B > A) are reachable only as the z → ∞
-    limit of the rotation family, so for them receiver_basis composes U(0)
-    with a basis swap and z stays 0.
+    length 2**(n−1), concurrence is 2·coeff0·coeff1 clamped to ≤ 1, and
+    receiver_basis is the 2×2 unitary whose columns are |0̄⟩ and |1̄⟩. Splits
+    that need the branch order swapped (z = 0 with B > A) are reachable only as
+    the z → ∞ limit of the rotation family, so for them receiver_basis composes
+    U(0) with a basis swap and z stays 0.
     """
 
     coeff0: float
@@ -197,7 +203,7 @@ def schmidt_form(sv: StateVector, bob: int) -> SchmidtForm:
     else:
         b1 = _orthogonal_filler(b0)
     b0.flags.writeable = b1.flags.writeable = u.flags.writeable = False
-    form = SchmidtForm(c0, c1, z, b0, b1, 2.0 * c0 * c1, u)
+    form = SchmidtForm(c0, c1, z, b0, b1, _clamp_unit(2.0 * c0 * c1), u)
     sv._memo[bob] = (gram, form, None)  # the slot _projection fills
     return form
 
@@ -245,4 +251,4 @@ def maf(concurrence: float) -> float:
     """Maximal average teleportation fidelity (2 + C)/3 for concurrence C."""
     if not (is_real(concurrence) and -CONCURRENCE_SLACK <= concurrence <= 1.0 + CONCURRENCE_SLACK):
         raise OutOfRange(f"concurrence must be a real number in [0, 1], got {_shown(concurrence)}")
-    return (2.0 + min(max(concurrence, 0.0), 1.0)) / 3.0
+    return (2.0 + _clamp_unit(concurrence)) / 3.0

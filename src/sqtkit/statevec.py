@@ -134,23 +134,22 @@ def check_type(name: str, value, kind: type) -> None:
 
 
 def is_int(x) -> bool:
-    """True for Python and numpy integers; False for bool and anything else."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    """True for Python and numpy integers; False for bool, np.timedelta64 and anything else."""
+    return (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, np.integer) and not isinstance(x, np.timedelta64))
 
 
 def is_real(x) -> bool:
-    """True for Python and numpy integers and floats; False for bool, huge ints and anything else."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and _fits_float(x)
+    """True for Python and numpy floats and for is_int values within ±sys.float_info.max."""
+    if isinstance(x, (float, np.floating)):
+        return True
+    # only a Python int can lie beyond a double's range, and abs(np.int64(-2**63)) warns
+    return is_int(x) and (not isinstance(x, int) or abs(x) <= sys.float_info.max)
 
 
 def is_number(x) -> bool:
-    """True for Python and numpy real and complex numbers; False for bool, huge ints and anything else."""
-    return isinstance(x, (int, float, complex, np.number)) and _fits_float(x)
-
-
-def _fits_float(x) -> bool:
-    # a huge int is a Python int beyond ±sys.float_info.max
-    return not isinstance(x, bool) and not (isinstance(x, int) and abs(x) > sys.float_info.max)
+    """True for Python and numpy complex numbers and for is_real values."""
+    return isinstance(x, (float, complex, np.inexact)) or is_real(x)  # a float skips the is_real call
 
 
 def check_qubit_count(n: int) -> None:

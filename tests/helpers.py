@@ -20,10 +20,14 @@ concurrence read as a function, `haar_info_samples` a batch of Haar qubits
 drawn as `random_state(1, rng)` draws one, and `exact_gram` the Gram step
 and `exact_mc_moments` the Monte Carlo reduction in exact rational
 arithmetic. `haar_s_cdf` and `haar_s_moment` are the exact law of s = 1 − C²
-for a Haar-random state, the referee of `random_state`.
+for a Haar-random state, the referee of `random_state`. `reference_is_int`,
+`reference_is_real` and `reference_is_number` are the number predicates as
+`statevec` wrote them before `np.timedelta64` was excluded, the referee of
+their truth table.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +146,22 @@ def kraus_operators(sv: StateVector, bob: int) -> np.ndarray:
 def concurrence(sv: StateVector, bob: int) -> float:
     """Bipartite concurrence 2·Ā·B̄ between qubit `bob` and the rest."""
     return schmidt_form(sv, bob).concurrence
+
+
+def reference_is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def reference_is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and _reference_fits_float(x)
+
+
+def reference_is_number(x) -> bool:
+    return isinstance(x, (int, float, complex, np.number)) and _reference_fits_float(x)
+
+
+def _reference_fits_float(x) -> bool:
+    return not isinstance(x, bool) and not (isinstance(x, int) and abs(x) > sys.float_info.max)
 
 
 def haar_info_samples(count: int, rng=None) -> np.ndarray:

@@ -2,19 +2,26 @@
 typed SqtError, and the numeric types the gates admit build the same state as
 the plain float call."""
 
+import enum
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import correction_matrix, haar_info_samples
+from helpers import (correction_matrix, haar_info_samples, reference_is_int, reference_is_number,
+                     reference_is_real)
 from sqtkit import (
     DimensionMismatch,
+    IndexOutOfRange,
     InfoQubit,
+    InvalidPermutation,
     OutOfRange,
     SqtError,
     StateVector,
+    TooManyQubits,
     acin_alternative,
     acin_canonical,
     average_fidelity_mc,
@@ -37,7 +44,7 @@ from sqtkit import (
     w_general,
     zha_counterexample,
 )
-from sqtkit.statevec import is_number, is_real
+from sqtkit.statevec import is_int, is_number, is_real
 
 SQRT_HALF = math.sqrt(0.5)
 KAPPAS = (0.5, 0.0, 0.3, 0.4, SQRT_HALF)
@@ -185,6 +192,89 @@ def test_float_range_edge_of_the_number_gates(gate):
     top = int(sys.float_info.max)
     assert gate(top) and gate(-top) and gate(sys.float_info.max)
     assert not gate(top + 1) and not gate(-top - 1)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Complex(complex):
+    pass
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+TOP = int(sys.float_info.max)
+PREDICATE_VALUES = {
+    "True": True, "False": False, "np.True_": np.True_, "0": 0, "-7": -7, "10**400": 10**400,
+    "-10**400": -10**400, "top": TOP, "top+1": TOP + 1, "-top": -TOP, "-top-1": -TOP - 1,
+    "np.int64-min": np.int64(-2**63), "np.int8": np.int8(-5), "np.uint64-max": np.uint64(2**64 - 1),
+    "0.5": 0.5, "-0.0": -0.0, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "np.float16": np.float16(0.5), "np.float32": np.float32(0.5), "np.float64": np.float64(0.5),
+    "np.longdouble": np.longdouble(0.5), "int-subclass": _Int(3), "float-subclass": _Float(0.5),
+    "complex-subclass": _Complex(1j), "IntEnum": _Color.RED, "1j": 1j, "np.complex64": np.complex64(1j),
+    "np.complex128": np.complex128(1j), "Fraction": Fraction(1, 2), "Decimal": Decimal("0.5"),
+    "str": "1", "np.str_": np.str_("1"), "None": None, "list": [1], "tuple": (1,),
+    "0-d-array": np.array(1.0), "1-d-array": np.array([1.0]), "np.datetime64": np.datetime64("2020-01-01"),
+    "object": object(),
+}
+PREDICATES = {"is_int": (is_int, reference_is_int), "is_real": (is_real, reference_is_real),
+              "is_number": (is_number, reference_is_number)}
+
+
+@pytest.mark.parametrize("value", PREDICATE_VALUES)
+@pytest.mark.parametrize("name", PREDICATES)
+def test_number_gates_keep_their_truth_table(name, value):
+    gate, reference = PREDICATES[name]
+    got = gate(PREDICATE_VALUES[value])
+    assert type(got) is bool and got == reference(PREDICATE_VALUES[value])
+
+
+@pytest.mark.parametrize("value", [np.timedelta64(3), np.timedelta64(-1, "s"), np.timedelta64("NaT")],
+                         ids=repr)
+@pytest.mark.parametrize("name", PREDICATES)
+def test_timedelta_is_not_a_number(name, value):
+    # np.timedelta64 subclasses np.signedinteger, so it used to pass all three gates
+    gate, reference = PREDICATES[name]
+    assert reference(value) and gate(value) is False
+
+
+td = np.timedelta64
+# each call used to end in a bare numpy TypeError, ValueError or UFuncTypeError, or,
+# for run_teleport's seed, w_general, classify_zha's θ and a coefficient, to take it as a number
+TIMEDELTA_CALLS = {
+    "ghz": (lambda: ghz(td(3)), OutOfRange),
+    "random_state": (lambda: random_state(td(3), 1), OutOfRange),
+    "check_general-tol": (lambda: check_general(ghz(3), 2, td(1)), OutOfRange),
+    "check_3qubit-tol": (lambda: check_3qubit(ghz(3), 2, td(1)), OutOfRange),
+    "average_fidelity_mc-samples": (lambda: average_fidelity_mc(ghz(3), 2, td(100)), OutOfRange),
+    "run_teleport-seed": (lambda: run_teleport(InfoQubit(1, 0), ghz(3), 2, td(1)), OutOfRange),
+    "acin_canonical-theta": (lambda: acin_canonical(*KAPPAS, td(0)), OutOfRange),
+    "classify_zha-theta": (lambda: classify_zha(KAPPAS, td(0)), OutOfRange),
+    "zha_counterexample-delta": (lambda: zha_counterexample(0.4, 0.3, 0.0, td(0)), OutOfRange),
+    "acin_canonical-coefficient": (lambda: acin_canonical(td(1), 0, 0, 0, 0), OutOfRange),
+    "separable_branch_family-a": (lambda: separable_branch_family(td(0), 0.5), OutOfRange),
+    "schmidt_branch_family-kappa": (lambda: schmidt_branch_family(0.5, 0.5, 0.7, td(0)), OutOfRange),
+    "w_general": (lambda: w_general(td(1), 0, 0), OutOfRange),
+    "maf": (lambda: maf(td(1)), OutOfRange),
+    "StateVector-n": (lambda: StateVector(td(1), [1, 0]), TooManyQubits),
+    "schmidt_form-bob": (lambda: schmidt_form(ghz(3), td(2)), IndexOutOfRange),
+    "split_by_receiver-bob": (lambda: split_by_receiver(ghz(3), td(2)), IndexOutOfRange),
+    "permute_qubits": (lambda: permute_qubits(ghz(3), [td(0), 1, 2]), InvalidPermutation),
+}
+
+
+@pytest.mark.parametrize("name", TIMEDELTA_CALLS)
+def test_timedelta_argument_raises_the_typed_error_of_its_gate(name):
+    call, error = TIMEDELTA_CALLS[name]
+    with pytest.raises(error):
+        call()
 
 
 def _fingerprint(result):

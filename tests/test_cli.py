@@ -44,6 +44,13 @@ class TestAnalyze:
         assert "concurrence:        1.000000" in out
         assert "max avg fidelity:   1.000000" in out
 
+    def test_ghz_json_reads_exactly_one(self, ghz_file, capsys):
+        # the density oracle reads 1 + 2⁻⁵² while the clamped form reads 1
+        assert main(["analyze", ghz_file, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["concurrence"] == 1.0 and doc["maf"] == 1.0
+        assert doc["agreement_delta"] <= 2.3e-16
+
     def test_product_state(self, tmp_path, capsys):
         path = write_doc(tmp_path / "z.json", 3, [1, 0, 0, 0, 0, 0, 0, 0])
         assert main(["analyze", path]) == 0

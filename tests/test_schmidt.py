@@ -365,6 +365,22 @@ class TestConcurrence:
                 for route in (concurrence, concurrence_via_density):
                     assert abs(route(sv, bob) ** 2 - want) <= 1e-13, (route.__name__, bob)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_ghz_reads_exactly_one(self, n):
+        # 2·fl(√½)² = 1 + 2⁻⁵²: the form's C and maf share one clamp to [0, 1],
+        # while the density oracle stays raw
+        sv = ghz(n)
+        for bob in range(n):
+            c = schmidt_form(sv, bob).concurrence
+            assert c == 1.0 and maf(c) == 1.0
+            assert concurrence_via_density(sv, bob) == 1.0 + 2**-52
+
+    def test_clamp_keeps_every_value_inside(self, small_corpus):
+        for sv in small_corpus:
+            for bob in range(sv.n):
+                form = schmidt_form(sv, bob)
+                assert form.concurrence == min(2.0 * form.coeff0 * form.coeff1, 1.0)
+
 
 def qr_concurrence(sv, bob):
     """2·|R₀₀·R₁₁| from numpy's QR of the two-column amplitude matrix mᵀ."""
